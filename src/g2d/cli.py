@@ -15,8 +15,8 @@ Subcommands mirror the report suite and the exact oracles:
     g2d oracle detlb2 --in matrix.txt --kmax 4
     g2d oracle discp --in matrix.txt --p 2 [--weights w.txt]
 
-Global flags (give them after the subcommand): --tol, --seed,
---threads, --budget-minutes. Exit codes: 0 success, 2 assertion or
+Global flags (give them after the subcommand): --tol, --seed (accepted
+and ignored), --threads, --budget-minutes. Exit codes: 0 success, 2 assertion or
 validation failure, 3 cap or budget refusal.
 
 ``--ns`` accepts a plain comma list or an elided progression like
@@ -156,7 +156,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                      help="relative gap tolerance (default 1e-4)")
     sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="seed for dual-ascent restarts (default 0)")
+                     help="accepted and ignored: the solver makes no random choices")
     sub.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                      help="parallel rows/ranges (default 1)")
     sub.add_argument("--budget-minutes", type=float, default=argparse.SUPPRESS,
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="certified gamma_2 of a matrix file")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--out", help="certificate bundle path")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=2000)
     _add_common(p)
 
     p = subs.add_parser("oracle", help="exact brute-force oracles")
@@ -245,14 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     tol = getattr(args, "tol", 1e-4)
-    seed = getattr(args, "seed", 0)
     threads = getattr(args, "threads", 1)
 
     if args.command == "tn-figure":
         rows = tn_figure(
             parse_ns(args.ns),
             tol=tol,
-            seed=seed,
             threads=threads,
             out=args.out,
             certs_dir=args.certs_dir,
@@ -262,14 +258,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "ellipsoid":
-        summary = ellipsoid_dump(args.n, args.out, tol=tol, seed=seed)
+        summary = ellipsoid_dump(args.n, args.out, tol=tol)
         _print_kv((k, v) for k, v in summary.items() if k != "files")
         for path in summary["files"]:
             print(f"file={path}")
         return EXIT_OK
 
     if args.command == "tusnady":
-        row = tusnady_report(args.d, args.n, tol=tol, seed=seed)
+        row = tusnady_report(args.d, args.n, tol=tol)
         _print_kv(_row_kv(row))
         if args.out:
             from .reports import write_csv
@@ -278,7 +274,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "subcubes":
-        row = subcube_report(args.d, tol=tol, seed=seed)
+        row = subcube_report(args.d, tol=tol)
         _print_kv(_row_kv(row))
         if args.out:
             from .reports import write_csv
@@ -290,7 +286,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = ap_report(
             parse_ns(args.ns),
             tol=tol,
-            seed=seed,
             threads=threads,
             out=args.out,
             certs_dir=args.certs_dir,
@@ -300,7 +295,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "audit":
-        report = audit(args.path, tol=tol, seed=seed, k_max=args.kmax)
+        report = audit(args.path, tol=tol, k_max=args.kmax)
         pairs = [
             ("gamma2_lower", report.gamma2_interval[0]),
             ("gamma2_upper", report.gamma2_interval[1]),
@@ -317,13 +312,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "solve":
         a = _load_matrix(args.path)
-        cert = gamma2(
-            a,
-            tol=tol,
-            seed=seed,
-            restarts=args.restarts,
-            max_iter=args.max_iter,
-        )
+        cert = gamma2(a, tol=tol)
         _print_kv(
             [
                 ("upper", cert.upper),

@@ -24,22 +24,25 @@ Every routine here returns certified quantities:
 * upper bounds come from explicit ellipsoids that are re-checked for
   containment of every column, never from unverified solver output.
 
-The solver stack, cheapest first:
+The solve path:
 
-1. trivial factorizations A = A I and A = I A (row/column norm bounds);
-2. dual ascent for (p, q): projected subgradient with restarts, then a
-   monotone alternating polish on the variational form
-   ||M||_* = max_{||Z||_2 <= 1} <M, Z>;
-3. a closed-form primal lift of the dual optimum (the first-order
+1. split A into the connected components of its row-column support
+   graph; gamma_2 of a block-diagonal matrix is the max over its
+   blocks, so each block is solved alone and the certificates are
+   assembled block-diagonally;
+2. dual ascent for (p, q) from uniform weights: monotone alternating
+   maximization of the variational form
+   ||M||_* = max_{||Z||_2 <= 1} <M, Z>, one SVD per step;
+3. a closed-form primal lift of the dual weights (the first-order
    conditions pair an optimal (p, q) with the optimal ellipsoid
-   P^{-1/2} U Sigma U^T P^{-1/2}), certified after the fact;
+   P^{-1/2} U Sigma U^T P^{-1/2}), certified after the fact and
+   compared with the trivial factorizations A = A I and A = I A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
-   smaller side, when that side is small enough;
-5. bisection on t with Dykstra alternating projections between the PSD
-   cone and the affine/box constraints of the SDP, with warm starts.
+   smaller side, only while the certified gap exceeds the requested
+   tolerance and that side is small enough.
 
-Stages 4 and 5 only run while the certified gap exceeds the requested
-tolerance. Results are deterministic for a fixed seed.
+The path makes no random choices: a matrix always gets the same
+certificate.
 """
 
 from __future__ import annotations
@@ -62,25 +65,22 @@ from .linalg import (
 # Relative tolerance on the certified upper/lower gap.
 DEFAULT_TOL = 1e-4
 
-# Dykstra iteration cap per feasibility probe.
-DEFAULT_MAX_ITER = 2000
-
-# Random restarts for the dual ascent.
-DEFAULT_RESTARTS = 8
+# The dual ascent stops after DUAL_MAX_STEPS steps, or earlier once
+# DUAL_PLATEAU steps in a row have not raised its best value by a
+# relative 1e-13.
+DUAL_MAX_STEPS = 300
+DUAL_PLATEAU = 30
 
 # Largest small-side dimension passed to the interior-point refiner.
 IP_SIDE_CAP = 32
 
-# Largest m + n for which Dykstra probes are attempted. Each probe
-# iteration eigendecomposes an (m+n) x (m+n) matrix, so the cost grows
-# cubically; past a few hundred dimensions a stalled bisection burns
-# hours, while the lifted dual certificate is already sound. Larger
-# instances skip the probes and report the lift value (flagged
-# unconverged whenever the gap stays above tol).
-DYKSTRA_DIM_CAP = 384
-
 # Relative Frobenius slack allowed in the factorization identity B C = A.
 FACT_RTOL = 1e-8
+
+# Slack of the check that the certificate's own weights do not certify
+# more than its upper bound, in units of eps * (m + n) * value: the
+# float64 error of the two values, not the solver's gap tolerance.
+DUAL_FP_SLACK = 16.0
 
 
 class CertificateError(ValueError):
@@ -135,131 +135,46 @@ def uniform_nuclear_lower(a) -> float:
     return nuclear_norm(a) / float(np.sqrt(m * n))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-threshold)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    theta = css[rho - 1] / rho
-    return np.clip(v - theta, 0.0, None)
+def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
+    """Dual lower bound by monotone block-coordinate ascent on (Z, p, q).
 
-
-def _dual_subgradient(a, p, q, iters: int, step_c: float = 1.0):
-    """Projected subgradient ascent with step c / sqrt(k).
-
-    The subgradient of (p, q) -> ||P^1/2 A Q^1/2||_* chains U V^T
-    through the diagonal square roots:
-        d/dp_i = (U Sigma U^T)_ii / (2 p_i) on the support,
-    evaluated here as elementwise products to stay finite at p_i = 0.
-    Keeps the best iterate.
+    Uses ||M||_* = max_{||Z||_2 <= 1} <M, Z> with M = P^1/2 A Q^1/2 and
+    starts from uniform weights. One SVD M = U Sigma V^T per step gives
+    both the value of the current weights, sum(Sigma), and the best
+    Z = U V^T for the next step. Given Z and q, maximizing
+    sum_i sqrt(p_i) c_i with c = (A o Z) sqrt(q) over the simplex has
+    the closed form p ~ (c_+)^2, and likewise for q given Z and p. No
+    step decreases the objective, and every iterate is feasible, hence
+    a valid lower bound. Returns the best iterate as (value, p, q).
     """
-    best = (dual_value(a, p, q), p.copy(), q.copy())
-    for k in range(1, iters + 1):
-        sp = np.sqrt(p)
-        sq = np.sqrt(q)
-        m = sp[:, None] * a * sq[None, :]
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        z = u @ vt
-        # gradient wrt sqrt-weights, chained: d val / d p_i
-        gp = ((a * z) @ sq) * 0.5
-        gq = ((a * z).T @ sp) * 0.5
-        # at p_i = 0 the one-sided derivative along the simplex is finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gp = np.where(sp > 1e-150, gp / np.maximum(sp, 1e-150), gp * 0.0)
-            gq = np.where(sq > 1e-150, gq / np.maximum(sq, 1e-150), gq * 0.0)
-        g = np.concatenate([gp, gq])
-        norm = float(np.linalg.norm(g))
-        if norm <= 0.0:
-            break
-        step = step_c / (np.sqrt(k) * norm)
-        p = _project_simplex(p + step * gp)
-        q = _project_simplex(q + step * gq)
-        val = dual_value(a, p, q)
-        if val > best[0]:
-            best = (val, p.copy(), q.copy())
-    return best
-
-
-def _dual_alternating(a, p, q, iters: int):
-    """Monotone block-coordinate ascent on (Z, p, q).
-
-    Uses ||M||_* = max_{||Z||_2 <= 1} <M, Z>. Given (p, q) the best Z is
-    U V^T; given Z and q, maximizing sum_i sqrt(p_i) c_i with
-    c = (A o Z) sqrt(q) over the simplex has the closed form
-    p ~ (c_+)^2. Each step cannot decrease the objective, and every
-    iterate is feasible, hence a valid lower bound.
-    """
-    best = (dual_value(a, p, q), p.copy(), q.copy())
+    a = as_matrix(a)
+    m, n = a.shape
+    p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    if float(np.abs(a).max()) == 0.0:
+        return 0.0, p, q
+    best = (-np.inf, p, q)
     flat = 0
-    for _ in range(iters):
-        m = np.sqrt(p)[:, None] * a * np.sqrt(q)[None, :]
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        z = u @ vt
-        c = np.maximum((a * z) @ np.sqrt(q), 0.0)
+    for _ in range(DUAL_MAX_STEPS):
+        sq = np.sqrt(q)
+        u, s, vt = np.linalg.svd(np.sqrt(p)[:, None] * a * sq[None, :], full_matrices=False)
+        val = float(s.sum())
+        flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
+        if val > best[0]:
+            best = (val, p, q)
+        if flat >= DUAL_PLATEAU:
+            break
+        az = a * (u @ vt)
+        c = np.maximum(az @ sq, 0.0)
         denom = float(c @ c)
         if denom <= 0.0:
             break
         p = c * c / denom
-        r = np.maximum((a * z).T @ np.sqrt(p), 0.0)
+        r = np.maximum(az.T @ np.sqrt(p), 0.0)
         denom = float(r @ r)
         if denom <= 0.0:
             break
         q = r * r / denom
-        val = dual_value(a, p, q)
-        if val > best[0] + 1e-13 * max(best[0], 1.0):
-            best = (val, p.copy(), q.copy())
-            flat = 0
-        else:
-            if val > best[0]:
-                best = (val, p.copy(), q.copy())
-            flat += 1
-            if flat >= 30:
-                break
     return best
-
-
-def gamma2_lower_dual(
-    a,
-    *,
-    restarts: int = DEFAULT_RESTARTS,
-    iters: int = 60,
-    polish_iters: int = 300,
-    seed: int = 0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best dual lower bound found from multiple starts.
-
-    The uniform start and the argmax-entry vertex run the monotone
-    alternating ascent directly (on symmetric instances the uniform
-    basin already holds the optimum); the ``restarts`` Dirichlet(1)
-    samples get a subgradient prelude for exploration before the same
-    polish. Deterministic for fixed seed. Returns (value, p, q).
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if float(np.abs(a).max()) == 0.0:
-        return 0.0, np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    rng = np.random.default_rng(seed)
-    starts: list[tuple[np.ndarray, np.ndarray, bool]] = []
-    starts.append((np.full(m, 1.0 / m), np.full(n, 1.0 / n), False))
-    i0, j0 = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-    ev_p = np.full(m, 1e-9)
-    ev_p[i0] = 1.0
-    ev_q = np.full(n, 1e-9)
-    ev_q[j0] = 1.0
-    starts.append((ev_p / ev_p.sum(), ev_q / ev_q.sum(), False))
-    for _ in range(max(restarts, 0)):
-        starts.append((rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)), True))
-    best = (-np.inf, None, None)
-    for p0, q0, explore in starts:
-        p, q = p0.copy(), q0.copy()
-        if explore:
-            _, p, q = _dual_subgradient(a, p, q, iters)
-        val, p, q = _dual_alternating(a, p, q, polish_iters)
-        if val > best[0]:
-            best = (val, p, q)
-    return float(best[0]), best[1], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -338,53 +253,6 @@ def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray, floor: float =
     return d_row, d_col
 
 
-def _dykstra_probe(a, t, x0, max_iter, dist_tol):
-    """One feasibility probe of the SDP at level t.
-
-    Alternates (with Dykstra corrections) between the PSD cone and the
-    affine/box set {X : X[:m, m:] = A, diag(X) <= t}. Returns
-    (feasible, last_psd_iterate, distance, iterations); the PSD iterate
-    is always a valid certification seed whether or not the probe
-    converged. Plateau detection bails early on clearly infeasible t.
-    """
-    m, n = a.shape
-    size = m + n
-
-    def proj_box(x):
-        y = x.copy()
-        y[:m, m:] = a
-        y[m:, :m] = a.T
-        dg = np.diagonal(y).copy()
-        np.fill_diagonal(y, np.minimum(dg, t))
-        return y
-
-    x = proj_box(np.zeros((size, size))) if x0 is None else x0.copy()
-    p_corr = np.zeros((size, size))
-    q_corr = np.zeros((size, size))
-    last_psd = None
-    dist = np.inf
-    window: list[float] = []
-    for k in range(max_iter):
-        w, v = np.linalg.eigh(x + p_corr)
-        y = (v * np.clip(w, 0.0, None)) @ v.T
-        p_corr = x + p_corr - y
-        x2 = proj_box(y + q_corr)
-        q_corr = y + q_corr - x2
-        dist = float(np.linalg.norm(x2 - y))
-        last_psd = y
-        x = x2
-        if dist < dist_tol:
-            return True, y, dist, k + 1
-        window.append(dist)
-        if len(window) > 120:
-            window.pop(0)
-            # no meaningful decrease over the window and far from
-            # feasible: treat as infeasible at this level
-            if k > 300 and dist > 100.0 * dist_tol and window[0] - dist < 1e-3 * dist:
-                return False, last_psd, dist, k + 1
-    return False, last_psd, dist, max_iter
-
-
 def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
     return Gamma2Certificate(
         upper=0.0,
@@ -399,16 +267,20 @@ def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
     )
 
 
+def _check_ellipsoid_cap(m: int) -> None:
+    if m * m > KRON_ENTRY_CAP:
+        raise ValueError(
+            f"certificate ellipsoid would have {m * m} entries, "
+            f"cap is {KRON_ENTRY_CAP}; transpose or use bound-only routines"
+        )
+
+
 def gamma2_upper(
     a,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
     dual: tuple[float, np.ndarray, np.ndarray] | None = None,
     ip_side_cap: int = IP_SIDE_CAP,
-    dykstra_dim_cap: int = DYKSTRA_DIM_CAP,
 ) -> tuple[float, Ellipsoid, np.ndarray, np.ndarray, bool]:
     """Certified upper bound on gamma_2(a).
 
@@ -416,24 +288,20 @@ def gamma2_upper(
     every column of ``a`` and has max diagonal = value^2; A = B C with
     balanced norm bounds. ``converged`` is False when the certified gap
     against the best known lower bound still exceeds ``tol`` after the
-    iteration budget (the value is still a valid upper bound).
+    refiner (the value is still a valid upper bound).
 
     ``dual`` may carry a precomputed (value, p, q) triple to avoid
     re-running the dual ascent.
     """
     a = as_matrix(a)
     m, n = a.shape
-    if m * m > KRON_ENTRY_CAP:
-        raise ValueError(
-            f"certificate ellipsoid would have {m * m} entries, "
-            f"cap is {KRON_ENTRY_CAP}; transpose or use bound-only routines"
-        )
+    _check_ellipsoid_cap(m)
     if float(np.abs(a).max()) == 0.0:
         c = _zero_certificate(m, n)
         return 0.0, c.ellipsoid, c.factor_left, c.factor_right, True
 
     if dual is None:
-        dual = gamma2_lower_dual(a, restarts=restarts, seed=seed)
+        dual = gamma2_lower_dual(a)
     lower, p, q = dual
     lower = max(lower, uniform_nuclear_lower(a) * (1.0 - 1e-12))
 
@@ -463,34 +331,11 @@ def gamma2_upper(
         pts = a if m <= n else a.T
         try:
             _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01)
-            target = a if m <= n else a.T
-            val, scaled = _certified_value(target, w)
+            val, scaled = _certified_value(pts, w)
             if val < best_val:
                 best_val, best_scaled, best_side_t = val, scaled, m > n
         except (InteriorPointError, np.linalg.LinAlgError):
             pass
-
-    # Dykstra bisection refinement (general sizes)
-    probes_left = 40
-    if not gap_ok() and (m + n) <= dykstra_dim_cap:
-        dist_tol = 1e-7 * max(float(np.linalg.norm(a)), 1e-300)
-        lo_b = lower
-        up_b = best_val
-        x_warm: np.ndarray | None = None
-        while probes_left > 0 and up_b - lo_b > tol * max(up_b, 1e-300):
-            t_mid = 0.5 * (lo_b + up_b)
-            feasible, y, _, _ = _dykstra_probe(a, t_mid, x_warm, max_iter, dist_tol)
-            probes_left -= 1
-            if y is not None:
-                val, scaled = _certified_value(a, y[:m, :m])
-                if val < best_val:
-                    best_val, best_scaled, best_side_t = val, scaled, False
-            if feasible:
-                up_b = min(up_b, best_val, t_mid * (1.0 + 1e-9))
-                x_warm = y
-            else:
-                lo_b = t_mid
-            up_b = min(up_b, best_val)
 
     converged = gap_ok()
     target = a.T if best_side_t else a
@@ -505,36 +350,32 @@ def gamma2_upper(
     return float(best_val), ell, b, c, converged
 
 
-def gamma2(
-    a,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    ip_side_cap: int = IP_SIDE_CAP,
-    dykstra_dim_cap: int = DYKSTRA_DIM_CAP,
-) -> Gamma2Certificate:
-    """Two-sided certified gamma_2 computation.
+def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each connected component of the bipartite graph
+    whose edges are the nonzeros of a, ordered by first row. All-zero
+    rows and columns belong to no block."""
+    nz = a != 0
+    unseen = nz.any(axis=1)
+    blocks = []
+    while unseen.any():
+        rows = np.zeros_like(unseen)
+        rows[np.argmax(unseen)] = True
+        while True:
+            cols = nz[rows].any(axis=0)
+            grown = nz[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        unseen &= ~rows
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return blocks
 
-    Runs the dual ascent for a lower bound and weight certificate, then
-    the upper-bound stack seeded with those weights, and re-validates
-    the assembled certificate before returning it.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if float(np.abs(a).max()) == 0.0:
-        return _zero_certificate(m, n)
-    lower, p, q = gamma2_lower_dual(a, restarts=restarts, seed=seed)
+
+def _solve_block(a: np.ndarray, tol: float, ip_side_cap: int) -> Gamma2Certificate:
+    """Dual ascent, then the upper-bound stack seeded with its weights."""
+    lower, p, q = gamma2_lower_dual(a)
     upper, ell, b, c, converged = gamma2_upper(
-        a,
-        tol=tol,
-        max_iter=max_iter,
-        seed=seed,
-        restarts=restarts,
-        dual=(lower, p, q),
-        ip_side_cap=ip_side_cap,
-        dykstra_dim_cap=dykstra_dim_cap,
+        a, tol=tol, dual=(lower, p, q), ip_side_cap=ip_side_cap
     )
     # weak duality must hold between certified quantities
     if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
@@ -542,7 +383,7 @@ def gamma2(
             f"certified lower {lower} exceeds certified upper {upper}"
         )
     lower = min(lower, upper)  # guard fp-rounding at closed gaps
-    cert = Gamma2Certificate(
+    return Gamma2Certificate(
         upper=float(upper),
         lower=float(lower),
         ellipsoid=ell,
@@ -553,6 +394,75 @@ def gamma2(
         gap=float(upper - lower),
         converged=bool(converged),
     )
+
+
+def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
+    """Certificate of A from certificates of its blocks.
+
+    ``parts`` holds (rows, cols, certificate of A[rows][:, cols]) for
+    blocks on disjoint rows and columns that hold every nonzero of A.
+    D and the factors are block-diagonal, as in block_diag_ellipsoid,
+    so the upper bound is the max of the blocks'. The weights are those
+    of the block with the best lower bound, zero elsewhere, and certify
+    that lower bound for A.
+    """
+    m, n = a.shape
+    k = sum(cert.factor_left.shape[1] for _, _, cert in parts)
+    d = np.zeros((m, m))
+    b = np.zeros((m, k))
+    c = np.zeros((k, n))
+    at = 0
+    for rows, cols, cert in parts:
+        width = cert.factor_left.shape[1]
+        d[np.ix_(rows, rows)] = cert.ellipsoid.d
+        b[rows, at : at + width] = cert.factor_left
+        c[at : at + width, cols] = cert.factor_right
+        at += width
+    rows, cols, best = max(parts, key=lambda part: part[2].lower)
+    p = np.zeros(m)
+    p[rows] = best.dual_p
+    q = np.zeros(n)
+    q[cols] = best.dual_q
+    upper = max(cert.upper for _, _, cert in parts)
+    return Gamma2Certificate(
+        upper=upper,
+        lower=best.lower,
+        ellipsoid=Ellipsoid(d),
+        factor_left=b,
+        factor_right=c,
+        dual_p=p,
+        dual_q=q,
+        gap=upper - best.lower,
+        converged=upper - best.lower <= tol * upper,
+    )
+
+
+def gamma2(
+    a,
+    *,
+    tol: float = DEFAULT_TOL,
+    ip_side_cap: int = IP_SIDE_CAP,
+) -> Gamma2Certificate:
+    """Two-sided certified gamma_2 computation.
+
+    Splits A into the blocks of its row-column support graph, solves
+    each block by the dual ascent and then the upper-bound stack seeded
+    with its weights, and re-validates the assembled certificate before
+    returning it. gamma_2 of a block-diagonal matrix is the max over its
+    blocks, so each block's ascent only has to find its own optimum.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    _check_ellipsoid_cap(m)
+    if float(np.abs(a).max()) == 0.0:
+        return _zero_certificate(m, n)
+    blocks = _support_blocks(a)
+    rows, cols = blocks[0]
+    if len(blocks) == 1 and rows.size == m and cols.size == n:
+        cert = _solve_block(a, tol, ip_side_cap)
+    else:
+        parts = [(r, c, _solve_block(a[np.ix_(r, c)], tol, ip_side_cap)) for r, c in blocks]
+        cert = _assemble(a, parts, tol)
     check_certificate(cert, a, tol=tol)
     return cert
 
@@ -621,6 +531,11 @@ def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -
     if cert.lower > lb + 1e-8 * scale:
         raise CertificateError(
             f"stored lower {cert.lower} not reproduced by weights ({lb})"
+        )
+    fp_slack = DUAL_FP_SLACK * np.finfo(float).eps * (m + n) * lb
+    if lb > cert.upper + fp_slack:
+        raise CertificateError(
+            f"weights certify {lb}, above upper {cert.upper}"
         )
     report["dual_value"] = lb
     return report

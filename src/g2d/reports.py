@@ -8,9 +8,8 @@ primal, lower <= upper column ordering, determinant bound below
 gamma_2) are asserted at emit time; anything involving an unspecified
 absolute constant is reported as a ratio column and never asserted.
 
-Numeric columns are deterministic for a fixed seed; wall-clock seconds
-live on the row objects but are excluded from the CSV so that reruns
-are bit-identical.
+Numeric columns are deterministic; wall-clock seconds live on the row
+objects but are excluded from the CSV so that reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ ELLIPSOID_CAP = 128
 SUBCUBE_CAP = 8
 AP_CAP = 128
 TUSNADY_DIRECT_CAP = 512
-
-# instances with more incidence entries than this get fewer dual restarts
-_BIG_INSTANCE_ENTRIES = 100_000
 
 
 @dataclass
@@ -128,15 +124,7 @@ def _pmap(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _restarts_for(a: np.ndarray, restarts: int) -> int:
-    # big instances rely on the uniform/vertex starts; random restarts
-    # add little there and dominate the runtime
-    if a.size > _BIG_INSTANCE_ENTRIES:
-        return min(restarts, 2)
-    return restarts
-
-
-def _solve_oriented(a: np.ndarray, *, tol: float, seed: int, restarts: int = 8):
+def _solve_oriented(a: np.ndarray, *, tol: float):
     """Solve gamma_2 with the smaller side as rows.
 
     The value is transpose-invariant and the certificate ellipsoid
@@ -145,11 +133,8 @@ def _solve_oriented(a: np.ndarray, *, tol: float, seed: int, restarts: int = 8):
     """
     m, n = a.shape
     if m > n:
-        cert = gamma2(
-            a.T, tol=tol, seed=seed, restarts=_restarts_for(a, restarts)
-        )
-        return cert, True
-    return gamma2(a, tol=tol, seed=seed, restarts=_restarts_for(a, restarts)), False
+        return gamma2(a.T, tol=tol), True
+    return gamma2(a, tol=tol), False
 
 
 def _write_row_certificate(row: ReportRow, certs_dir: str) -> None:
@@ -169,7 +154,6 @@ def tn_figure(
     ns,
     *,
     tol: float = 1e-4,
-    seed: int = 0,
     threads: int = 1,
     out: str | None = None,
     certs_dir: str | None = None,
@@ -190,7 +174,7 @@ def tn_figure(
 
     def solve(n: int) -> ReportRow:
         t0 = time.time()
-        cert = gamma2(tn_matrix(n), tol=tol, seed=seed)
+        cert = gamma2(tn_matrix(n), tol=tol)
         log_bound = float(np.floor(np.log2(n))) + 1.0
         closed = float(np.sum(tn_singular_values_closed_form(n))) / n
         row = ReportRow(
@@ -232,7 +216,6 @@ def ellipsoid_dump(
     out_dir: str,
     *,
     tol: float = 1e-4,
-    seed: int = 0,
 ) -> dict:
     """Solve T_n and write the optimal-ellipsoid matrix D and the dual
     weights p, q as matrix text files for external plotting.
@@ -243,7 +226,7 @@ def ellipsoid_dump(
     """
     if not 1 <= n <= ELLIPSOID_CAP:
         raise ValueError(f"ellipsoid_dump caps at n <= {ELLIPSOID_CAP}, got {n}")
-    cert = gamma2(tn_matrix(n), tol=tol, seed=seed)
+    cert = gamma2(tn_matrix(n), tol=tol)
     os.makedirs(out_dir, exist_ok=True)
     d_path = os.path.join(out_dir, f"T_{n}_D.txt")
     p_path = os.path.join(out_dir, f"T_{n}_p.txt")
@@ -299,7 +282,6 @@ def tusnady_report(
     n: int,
     *,
     tol: float = 1e-4,
-    seed: int = 0,
     direct_cap: int = TUSNADY_DIRECT_CAP,
 ) -> ReportRow:
     """Anchored-box grid on [n]^d: product-rule value gamma_2(T_n)^d,
@@ -312,7 +294,7 @@ def tusnady_report(
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     t0 = time.time()
-    base = gamma2(tn_matrix(n), tol=tol, seed=seed)
+    base = gamma2(tn_matrix(n), tol=tol)
     product_value = base.upper**d
     product_lower = base.lower**d
     size = n**d
@@ -328,7 +310,7 @@ def tusnady_report(
     cert = None
     if size <= direct_cap:
         system = grid_anchored(d, n)
-        cert, _ = _solve_oriented(system.incidence, tol=tol, seed=seed)
+        cert, _ = _solve_oriented(system.incidence, tol=tol)
         columns["derived"] = False
         columns["direct_upper"] = cert.upper
         columns["direct_lower"] = cert.lower
@@ -358,7 +340,6 @@ def subcube_report(
     d: int,
     *,
     tol: float = 1e-4,
-    seed: int = 0,
 ) -> ReportRow:
     """Subcube system on {0,1}^d: closed-form (2/sqrt(3))^d, the direct
     solved value, their ratio, and log2(gamma_2)/d as an estimate of
@@ -367,7 +348,7 @@ def subcube_report(
         raise ValueError(f"subcube_report caps at d <= {SUBCUBE_CAP}, got {d}")
     t0 = time.time()
     closed = (2.0 / np.sqrt(3.0)) ** d
-    cert, _ = _solve_oriented(subcubes(d).incidence, tol=tol, seed=seed)
+    cert, _ = _solve_oriented(subcubes(d).incidence, tol=tol)
     exponent = float(np.log2(cert.upper)) / d if cert.upper > 0 else float("nan")
     assert cert.lower <= cert.upper + 1e-9 * max(cert.upper, 1.0)
     return ReportRow(
@@ -390,7 +371,6 @@ def ap_report(
     ns,
     *,
     tol: float = 1e-4,
-    seed: int = 0,
     threads: int = 1,
     out: str | None = None,
     certs_dir: str | None = None,
@@ -410,18 +390,14 @@ def ap_report(
     def solve(n: int) -> ReportRow:
         t0 = time.time()
         system = arithmetic_progressions(n)
-        cert, _ = _solve_oriented(system.incidence, tol=tol, seed=seed)
+        cert, _ = _solve_oriented(system.incidence, tol=tol)
         quarter = float(n) ** 0.25
         small_val = float("nan")
         large_val = float("nan")
         if n >= 2:
             split = maximal_aps(n)
-            small_cert, _ = _solve_oriented(
-                split.small_difference.incidence, tol=tol, seed=seed
-            )
-            large_cert, _ = _solve_oriented(
-                split.large_difference.incidence, tol=tol, seed=seed
-            )
+            small_cert, _ = _solve_oriented(split.small_difference.incidence, tol=tol)
+            large_cert, _ = _solve_oriented(split.large_difference.incidence, tol=tol)
             small_val = small_cert.upper
             large_val = large_cert.upper
             slack = tol * max(quarter, 1.0) + 1e-9
@@ -478,7 +454,7 @@ def _load_matrix(source) -> np.ndarray:
     return as_matrix(source)
 
 
-def audit(source, *, tol: float = 1e-4, seed: int = 0, k_max: int | None = None) -> BoundsReport:
+def audit(source, *, tol: float = 1e-4, k_max: int | None = None) -> BoundsReport:
     """Full bounds report for one matrix or set-system file.
 
     Computes the certified gamma_2 interval, the determinant bounds
@@ -504,7 +480,7 @@ def audit(source, *, tol: float = 1e-4, seed: int = 0, k_max: int | None = None)
             failures={},
         )
 
-    cert, transposed = _solve_oriented(a, tol=tol, seed=seed)
+    cert, transposed = _solve_oriented(a, tol=tol)
     nuclear_uniform = uniform_nuclear_lower(a)
 
     det_val: float | None = None
@@ -555,7 +531,7 @@ def audit(source, *, tol: float = 1e-4, seed: int = 0, k_max: int | None = None)
             sub = np.delete(a, j, axis=1)
             if float(np.abs(sub).max()) == 0.0:
                 continue
-            sub_cert, _ = _solve_oriented(sub, tol=tol, seed=seed)
+            sub_cert, _ = _solve_oriented(sub, tol=tol)
             assert sub_cert.upper <= cert.upper * (1.0 + tol) + tol, (
                 f"column {j} removal increased gamma_2: "
                 f"{sub_cert.upper} > {cert.upper}"

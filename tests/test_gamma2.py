@@ -1,5 +1,7 @@
 """Factorization-norm solver: primal/dual bounds, certificates, ellipsoids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ def test_gamma2_lower_dual_reports_achieved_value():
         a = random_binary(rng, 4, 5)
         if not a.any():
             continue
-        value, p, q = gamma2_lower_dual(a, restarts=4, seed=3)
+        value, p, q = gamma2_lower_dual(a)
         assert abs(value - dual_value(a, p, q)) < 1e-9 * max(value, 1.0)
         assert np.all(p >= -1e-15) and np.all(q >= -1e-15)
         assert abs(p.sum() - 1.0) < 1e-9 and abs(q.sum() - 1.0) < 1e-9
@@ -185,6 +187,33 @@ def test_gamma2_union_of_columns():
         assert vu**2 <= va**2 + vb**2 + 1e-3 * max(va**2 + vb**2, 1.0)
 
 
+def test_gamma2_block_diag_converges_on_each_block():
+    # criterion 8, trial 74: a single ascent from uniform weights moves
+    # only slowly towards the better of the two blocks
+    rows = ["0010000000", "1111000000", "1111100000", "0000011001", "0000001011", "0000000101"]
+    a = np.array([[float(ch) for ch in row] for row in rows])
+    cert = gamma2(a)
+    assert cert.converged
+    blocks = [gamma2(a[:3, :5]).upper, gamma2(a[3:, 5:]).upper]
+    assert abs(cert.upper - max(blocks)) <= 1e-4 * cert.upper
+    check_certificate(cert, a)
+    on_first = cert.dual_p[3:].sum() == 0.0 and cert.dual_q[5:].sum() == 0.0
+    on_second = cert.dual_p[:3].sum() == 0.0 and cert.dual_q[:5].sum() == 0.0
+    assert on_first != on_second
+
+
+def test_gamma2_zero_row_and_column():
+    a = np.zeros((4, 5))
+    a[1:, 1:] = tn_matrix(3)[:, [0, 1, 2, 2]]
+    cert = gamma2(a)
+    ref = gamma2(a[1:, 1:])
+    assert cert.converged
+    assert abs(cert.upper - ref.upper) <= 1e-4 * ref.upper
+    check_certificate(cert, a)
+    assert cert.dual_p[0] == 0.0 and cert.dual_q[0] == 0.0
+    assert np.all(cert.factor_left[0] == 0.0) and np.all(cert.factor_right[:, 0] == 0.0)
+
+
 def test_gamma2_block_diag_is_max():
     t4 = tn_matrix(4)
     j3 = np.ones((3, 3))
@@ -216,6 +245,20 @@ def test_certificate_checker_accepts_solver_output():
     report = check_certificate(cert, a)
     assert report["factorization_residual"] <= 1e-8 * np.linalg.norm(a)
     assert report["worst_membership"] <= 1.0 + 1e-4
+
+
+@pytest.mark.parametrize("lower_factor", [1.0 - 9e-5, 1.0])
+def test_certificate_checker_rejects_upper_below_own_weights(lower_factor):
+    # scaling the bounds by less than tol passes every tol-slack check;
+    # the unchanged weights still certify the true value, above upper
+    a = tn_matrix(8)
+    cert = gamma2(a)
+    upper = cert.upper * (1.0 - 9e-5)
+    lower = min(cert.lower * lower_factor, upper)
+    bad = dataclasses.replace(cert, upper=upper, lower=lower, gap=upper - lower)
+    assert dual_value(a, bad.dual_p, bad.dual_q) > bad.upper
+    with pytest.raises(CertificateError, match="weights certify"):
+        check_certificate(bad, a)
 
 
 def test_certificate_checker_rejects_wrong_matrix():
@@ -252,9 +295,9 @@ def test_factor_norms_are_balanced():
     assert row * col <= cert.upper * (1.0 + 1e-4) + 1e-12
 
 
-def test_dykstra_path_matches_default():
+def test_lift_only_path_matches_default():
     # ip_side_cap=0 disables interior-point refinement so the upper
-    # bound comes from lifted candidates plus projection bisection
+    # bound comes from the lifted and trivial candidates alone
     t3 = tn_matrix(3)
     ref = gamma2(t3).upper
     value, ell, b, c, _ = gamma2_upper(t3, ip_side_cap=0)
