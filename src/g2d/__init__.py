@@ -35,6 +35,7 @@ from .gamma2 import (
 )
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
+    RefusedError,
     SpectralDecomposition,
     as_matrix,
     circulant_interval,

@@ -16,8 +16,9 @@ Subcommands mirror the report suite and the exact oracles:
     g2d oracle discp --in matrix.txt --p 2 [--weights w.txt]
 
 Global flags (give them after the subcommand): --tol, --seed (accepted
-and ignored), --threads, --budget-minutes. Exit codes: 0 success, 2 assertion or
-validation failure, 3 cap or budget refusal.
+and ignored), --budget-minutes. Exit codes: 0 success, 2 assertion or
+validation failure, 3 refusal: a RefusedError (an input over a size cap
+or an enumeration budget) or an expired budget.
 
 ``--ns`` accepts a plain comma list or an elided progression like
 2,4,...,128 (geometric when the leading terms double, otherwise
@@ -30,7 +31,6 @@ import argparse
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from math import inf
 
 import numpy as np
@@ -40,10 +40,8 @@ from .gamma2 import (
     gamma2,
     write_certificate,
 )
-from .linalg import read_matrix, write_matrix
+from .linalg import RefusedError, read_matrix, write_matrix
 from .oracles import (
-    ColoringResult,
-    _disc_range,
     detlb2_exact,
     detlb_exact,
     disc_exact,
@@ -114,51 +112,11 @@ def _read_weights(path: str) -> np.ndarray:
     return read_matrix(path).reshape(-1)
 
 
-def _merge_disc_ranges(parts) -> tuple[float, np.ndarray]:
-    best_v, best_x = parts[0]
-    for v, x in parts[1:]:
-        if v < best_v:
-            best_v, best_x = v, x
-        elif v == best_v:
-            for xi, bi in zip(x, best_x):
-                if xi != bi:
-                    if xi < bi:
-                        best_x = x
-                    break
-    return best_v, best_x
-
-
-def _disc_parallel(a: np.ndarray, threads: int) -> ColoringResult:
-    """disc_exact split over disjoint coloring ranges.
-
-    The Gray-code walk restarts cleanly at any coloring number, and
-    (min, lex) merging is associative, so the multi-range result equals
-    the single-range result exactly.
-    """
-    n = a.shape[1]
-    total = 1 << (n - 1)
-    threads = max(1, min(threads, total))
-    if threads == 1 or total < 1024:
-        return disc_exact(a)
-
-    def norm(s):
-        return float(np.abs(s).max()) if s.size else 0.0
-
-    bounds = [total * i // threads for i in range(threads + 1)]
-    jobs = [(bounds[i], bounds[i + 1]) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda lo_hi: _disc_range(a, *lo_hi, norm), jobs))
-    v, x = _merge_disc_ranges(parts)
-    return ColoringResult(value=v, coloring=x, norm_kind="linf")
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                      help="relative gap tolerance (default 1e-4)")
     sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                      help="accepted and ignored: the solver makes no random choices")
-    sub.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                     help="parallel rows/ranges (default 1)")
     sub.add_argument("--budget-minutes", type=float, default=argparse.SUPPRESS,
                      help="hard wall-clock budget; exceeding it exits 3")
 
@@ -243,13 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     tol = getattr(args, "tol", 1e-4)
-    threads = getattr(args, "threads", 1)
 
     if args.command == "tn-figure":
         rows = tn_figure(
             parse_ns(args.ns),
             tol=tol,
-            threads=threads,
             out=args.out,
             certs_dir=args.certs_dir,
         )
@@ -286,7 +242,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = ap_report(
             parse_ns(args.ns),
             tol=tol,
-            threads=threads,
             out=args.out,
             certs_dir=args.certs_dir,
         )
@@ -329,7 +284,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "oracle":
         a = _load_matrix(args.path)
         if args.oracle == "disc":
-            res = _disc_parallel(a, threads)
+            res = disc_exact(a)
             _print_kv([("value", res.value), ("norm_kind", res.norm_kind)])
             if args.coloring_out:
                 write_matrix(args.coloring_out, res.coloring.reshape(-1, 1))
@@ -380,11 +335,12 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
+    except RefusedError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except ValueError as exc:
-        msg = str(exc)
-        refused = any(word in msg for word in ("cap", "budget", "exceeds"))
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_REFUSED if refused else EXIT_ASSERTION
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

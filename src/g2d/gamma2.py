@@ -51,14 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, ellipsoid_contains, ellipsoid_inf_norm, membership_value
+from .ellipsoid import Ellipsoid, ellipsoid_inf_norm, membership_value
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
+    RefusedError,
     as_matrix,
     nuclear_norm,
     one_to_two_norm,
-    read_matrix_with_comments,
     two_to_infinity_norm,
 )
 
@@ -74,8 +74,12 @@ DUAL_PLATEAU = 30
 # Largest small-side dimension passed to the interior-point refiner.
 IP_SIDE_CAP = 32
 
-# Relative Frobenius slack allowed in the factorization identity B C = A.
-FACT_RTOL = 1e-8
+# Relative slack of the certificate checks (weak duality, factor norms,
+# factorization identity B C = A, ellipsoid inf-norm, column
+# membership): float64 rounding in the checks' own arithmetic, never the
+# solver's gap tolerance. Real certificates exceed their bounds by at
+# most about 1.6e-11 relative.
+CHECK_RTOL = 1e-8
 
 # Slack of the check that the certificate's own weights do not certify
 # more than its upper bound, in units of eps * (m + n) * value: the
@@ -269,7 +273,7 @@ def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
 
 def _check_ellipsoid_cap(m: int) -> None:
     if m * m > KRON_ENTRY_CAP:
-        raise ValueError(
+        raise RefusedError(
             f"certificate ellipsoid would have {m * m} entries, "
             f"cap is {KRON_ENTRY_CAP}; transpose or use bound-only routines"
         )
@@ -280,7 +284,6 @@ def gamma2_upper(
     *,
     tol: float = DEFAULT_TOL,
     dual: tuple[float, np.ndarray, np.ndarray] | None = None,
-    ip_side_cap: int = IP_SIDE_CAP,
 ) -> tuple[float, Ellipsoid, np.ndarray, np.ndarray, bool]:
     """Certified upper bound on gamma_2(a).
 
@@ -327,7 +330,7 @@ def gamma2_upper(
         return best_val - lower <= tol * max(best_val, 1e-300)
 
     # interior-point refinement on the small side
-    if not gap_ok() and min(m, n) <= ip_side_cap:
+    if not gap_ok() and min(m, n) <= IP_SIDE_CAP:
         pts = a if m <= n else a.T
         try:
             _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01)
@@ -371,12 +374,10 @@ def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _solve_block(a: np.ndarray, tol: float, ip_side_cap: int) -> Gamma2Certificate:
+def _solve_block(a: np.ndarray, tol: float) -> Gamma2Certificate:
     """Dual ascent, then the upper-bound stack seeded with its weights."""
     lower, p, q = gamma2_lower_dual(a)
-    upper, ell, b, c, converged = gamma2_upper(
-        a, tol=tol, dual=(lower, p, q), ip_side_cap=ip_side_cap
-    )
+    upper, ell, b, c, converged = gamma2_upper(a, tol=tol, dual=(lower, p, q))
     # weak duality must hold between certified quantities
     if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
         raise CertificateError(
@@ -437,12 +438,7 @@ def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
     )
 
 
-def gamma2(
-    a,
-    *,
-    tol: float = DEFAULT_TOL,
-    ip_side_cap: int = IP_SIDE_CAP,
-) -> Gamma2Certificate:
+def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     """Two-sided certified gamma_2 computation.
 
     Splits A into the blocks of its row-column support graph, solves
@@ -459,25 +455,28 @@ def gamma2(
     blocks = _support_blocks(a)
     rows, cols = blocks[0]
     if len(blocks) == 1 and rows.size == m and cols.size == n:
-        cert = _solve_block(a, tol, ip_side_cap)
+        cert = _solve_block(a, tol)
     else:
-        parts = [(r, c, _solve_block(a[np.ix_(r, c)], tol, ip_side_cap)) for r, c in blocks]
+        parts = [(r, c, _solve_block(a[np.ix_(r, c)], tol)) for r, c in blocks]
         cert = _assemble(a, parts, tol)
-    check_certificate(cert, a, tol=tol)
+    check_certificate(cert, a)
     return cert
 
 
-def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -> dict:
+def check_certificate(cert: Gamma2Certificate, a) -> dict:
     """Re-validate every invariant of a certificate against its matrix.
 
-    Raises CertificateError on any violation; returns measured slacks.
+    The slack of every check is float64 rounding (CHECK_RTOL, and
+    DUAL_FP_SLACK for the weights against the upper bound), independent
+    of the tolerance the certificate was solved to. Raises
+    CertificateError on any violation; returns measured slacks.
     """
     a = as_matrix(a)
     m, n = a.shape
     scale = max(cert.upper, 1.0)
     report: dict[str, float] = {}
 
-    if not (cert.lower <= cert.upper + tol * scale):
+    if not (cert.lower <= cert.upper + CHECK_RTOL * scale):
         raise CertificateError(
             f"lower {cert.lower} > upper {cert.upper} + slack"
         )
@@ -488,39 +487,9 @@ def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -
         raise CertificateError(
             f"factor shapes {b.shape} x {c.shape} do not match {a.shape}"
         )
-    prod_bound = two_to_infinity_norm(b) * one_to_two_norm(c) if cert.upper > 0 else 0.0
-    if prod_bound > cert.upper * (1.0 + tol) + 1e-12:
-        raise CertificateError(
-            f"factor norms certify {prod_bound}, above upper {cert.upper}"
-        )
-    report["factor_bound"] = prod_bound
 
-    resid = float(np.linalg.norm(b @ c - a))
-    fro = float(np.linalg.norm(a))
-    if resid > FACT_RTOL * max(fro, 1e-300):
-        raise CertificateError(
-            f"factorization residual {resid:.3e} above {FACT_RTOL:.1e} * ||A||_F"
-        )
-    report["factorization_residual"] = resid
-
-    if cert.ellipsoid.dim != m:
-        raise CertificateError(
-            f"ellipsoid dim {cert.ellipsoid.dim}, expected {m}"
-        )
-    inf_norm = ellipsoid_inf_norm(cert.ellipsoid)
-    if inf_norm > cert.upper * (1.0 + tol) + 1e-12:
-        raise CertificateError(
-            f"ellipsoid inf-norm {inf_norm} above upper {cert.upper}"
-        )
-    worst = 0.0
-    for j in range(n):
-        worst = max(worst, membership_value(cert.ellipsoid, a[:, j]))
-    if fro > 0 and worst > 1.0 + tol:
-        raise CertificateError(
-            f"column membership value {worst} above 1 + tol"
-        )
-    report["worst_membership"] = worst
-
+    # the weights first: a bound scaled below what they certify is
+    # reported as such, not as the factor-norm excess it also causes
     p, q = cert.dual_p, cert.dual_q
     if (p < -1e-12).any() or (q < -1e-12).any():
         raise CertificateError("dual weights must be nonnegative")
@@ -528,7 +497,7 @@ def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -
         if cert.upper > 0:  # zero certificate keeps uniform weights
             raise CertificateError("dual weights must sum to 1")
     lb = dual_value(a, p, q)
-    if cert.lower > lb + 1e-8 * scale:
+    if cert.lower > lb + CHECK_RTOL * scale:
         raise CertificateError(
             f"stored lower {cert.lower} not reproduced by weights ({lb})"
         )
@@ -538,6 +507,39 @@ def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -
             f"weights certify {lb}, above upper {cert.upper}"
         )
     report["dual_value"] = lb
+
+    prod_bound = two_to_infinity_norm(b) * one_to_two_norm(c) if cert.upper > 0 else 0.0
+    if prod_bound > cert.upper * (1.0 + CHECK_RTOL):
+        raise CertificateError(
+            f"factor norms certify {prod_bound}, above upper {cert.upper}"
+        )
+    report["factor_bound"] = prod_bound
+
+    resid = float(np.linalg.norm(b @ c - a))
+    fro = float(np.linalg.norm(a))
+    if resid > CHECK_RTOL * max(fro, 1e-300):
+        raise CertificateError(
+            f"factorization residual {resid:.3e} above {CHECK_RTOL:.1e} * ||A||_F"
+        )
+    report["factorization_residual"] = resid
+
+    if cert.ellipsoid.dim != m:
+        raise CertificateError(
+            f"ellipsoid dim {cert.ellipsoid.dim}, expected {m}"
+        )
+    inf_norm = ellipsoid_inf_norm(cert.ellipsoid)
+    if inf_norm > cert.upper * (1.0 + CHECK_RTOL):
+        raise CertificateError(
+            f"ellipsoid inf-norm {inf_norm} above upper {cert.upper}"
+        )
+    worst = 0.0
+    for j in range(n):
+        worst = max(worst, membership_value(cert.ellipsoid, a[:, j]))
+    if fro > 0 and worst > 1.0 + CHECK_RTOL:
+        raise CertificateError(
+            f"column membership value {worst} above 1 + {CHECK_RTOL:.1e}"
+        )
+    report["worst_membership"] = worst
     return report
 
 
@@ -549,7 +551,6 @@ def check_certificate(cert: Gamma2Certificate, a, *, tol: float = DEFAULT_TOL) -
 
 
 def write_certificate(path, cert: Gamma2Certificate) -> None:
-    from .linalg import write_matrix  # local import to reuse formatting
     import io
 
     def fmt_block(mat):
@@ -621,9 +622,3 @@ def read_certificate(path) -> Gamma2Certificate:
         gap=header["gap"],
         converged=bool(int(header.get("converged", 0.0))),
     )
-
-
-def read_matrix_or_system(path) -> np.ndarray:
-    """Read a matrix file, tolerating a set-system label block."""
-    mat, _ = read_matrix_with_comments(path)
-    return mat

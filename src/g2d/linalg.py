@@ -32,6 +32,15 @@ SVD_RTOL = 1e-10
 SYM_RTOL = 1e-9
 
 
+class RefusedError(ValueError):
+    """An input is over a size cap or an enumeration budget.
+
+    The input may be valid; the package declines the work rather than
+    truncating it. The CLI maps this type, and only this type, to exit
+    code 3.
+    """
+
+
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a 2-d float64 array with finite entries."""
     out = np.asarray(a, dtype=float)
@@ -49,14 +58,14 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
 def kron(a, b, *, max_entries: int = KRON_ENTRY_CAP) -> np.ndarray:
     """Kronecker product with an explicit entry-count cap.
 
-    Raises ValueError instead of materializing anything larger than
+    Raises RefusedError instead of materializing anything larger than
     ``max_entries`` entries.
     """
     a = as_matrix(a, name="a")
     b = as_matrix(b, name="b")
     entries = a.size * b.size
     if entries > max_entries:
-        raise ValueError(
+        raise RefusedError(
             f"kron result would have {entries} entries, cap is {max_entries}"
         )
     return np.kron(a, b)

@@ -18,7 +18,8 @@ Small-scale oracles used to validate the certified gamma_2 sandwich:
   unions, and products of set systems.
 
 Everything here refuses oversized inputs up front (explicit caps and
-enumeration budgets) rather than truncating silently. Enumerations are
+enumeration budgets, raising RefusedError) rather than truncating
+silently. Enumerations are
 deterministic: Gray-code order with lexicographic tie-breaking.
 """
 
@@ -30,7 +31,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import RefusedError, as_matrix
 
 DISC_VARS_CAP = 26
 HERDISC_VARS_CAP = 16
@@ -85,31 +86,19 @@ def _lex_less(x: np.ndarray, y: np.ndarray) -> bool:
     return False
 
 
-def _gray_coloring(code: int, n: int) -> np.ndarray:
-    """Coloring number ``code``: x_1 = +1, bit j of the Gray word
-    code ^ (code >> 1) setting x_{j+2} to -1."""
-    g = code ^ (code >> 1)
-    x = np.ones(n)
-    for j in range(n - 1):
-        if (g >> j) & 1:
-            x[j + 1] = -1.0
-    return x
+def _gray_walk(a: np.ndarray, norm) -> tuple[float, np.ndarray]:
+    """Minimize norm(A x) over the 2^(n-1) colorings with x_1 = +1.
 
-
-def _disc_range(a: np.ndarray, lo: int, hi: int, norm) -> tuple[float, np.ndarray]:
-    """Minimize norm(A x) over coloring numbers [lo, hi).
-
-    Gray-code walk: consecutive codes differ in one variable, so the
-    running image s = A x updates with one column. Ranges partition the
-    coloring space, and the (value, lex) reduction is associative, so
-    splits reproduce the single-range result exactly.
+    Gray-code walk from all-ones: consecutive codes differ in one
+    variable, so the running image s = A x updates with one column.
+    Ties go to the lexicographically smallest coloring.
     """
     n = a.shape[1]
-    x = _gray_coloring(lo, n)
+    x = np.ones(n)
     s = a @ x
     best_v = norm(s)
     best_x = x.copy()
-    for code in range(lo + 1, hi):
+    for code in range(1, 1 << (n - 1)):
         b = code & -code
         j = b.bit_length()  # variable index 1..n-1 (0 is pinned)
         x[j] = -x[j]
@@ -132,12 +121,12 @@ def disc_exact(a) -> ColoringResult:
     a = as_matrix(a)
     m, n = a.shape
     if n > DISC_VARS_CAP:
-        raise ValueError(f"disc_exact caps at {DISC_VARS_CAP} columns, got {n}")
+        raise RefusedError(f"disc_exact caps at {DISC_VARS_CAP} columns, got {n}")
 
     def norm(s):
         return float(np.abs(s).max()) if s.size else 0.0
 
-    v, x = _disc_range(a, 0, 1 << (n - 1), norm)
+    v, x = _gray_walk(a, norm)
     return ColoringResult(value=v, coloring=x, norm_kind="linf")
 
 
@@ -147,7 +136,7 @@ def herdisc_exact(a) -> float:
     a = as_matrix(a)
     m, n = a.shape
     if n > HERDISC_VARS_CAP:
-        raise ValueError(f"herdisc_exact caps at {HERDISC_VARS_CAP} columns, got {n}")
+        raise RefusedError(f"herdisc_exact caps at {HERDISC_VARS_CAP} columns, got {n}")
     best = 0.0
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if (mask >> j) & 1]
@@ -167,7 +156,7 @@ def disc_p_exact(a, p: float, w=None) -> ColoringResult:
     a = as_matrix(a)
     m, n = a.shape
     if n > DISC_P_VARS_CAP:
-        raise ValueError(f"disc_p_exact caps at {DISC_P_VARS_CAP} columns, got {n}")
+        raise RefusedError(f"disc_p_exact caps at {DISC_P_VARS_CAP} columns, got {n}")
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     weights = None
@@ -188,7 +177,7 @@ def disc_p_exact(a, p: float, w=None) -> ColoringResult:
         def norm(s):
             return float(np.abs(s).max()) if s.size else 0.0
 
-        v, x = _disc_range(rows, 0, 1 << (n - 1), norm)
+        v, x = _gray_walk(rows, norm)
         kind = "linf" if weights is None else "lpw"
         return ColoringResult(value=v, coloring=x, norm_kind=kind, p=p, weights=weights)
 
@@ -200,7 +189,7 @@ def disc_p_exact(a, p: float, w=None) -> ColoringResult:
     def norm(s):
         return float(((np.abs(s) ** p).sum() / m) ** (1.0 / p)) if s.size else 0.0
 
-    v, x = _disc_range(scaled, 0, 1 << (n - 1), norm)
+    v, x = _gray_walk(scaled, norm)
     kind = "lp" if weights is None else "lpw"
     return ColoringResult(value=v, coloring=x, norm_kind=kind, p=p, weights=weights)
 
@@ -223,7 +212,7 @@ def detlb_exact(a, k_max: int) -> float:
         raise ValueError("k_max must be at least 1")
     budget = _det_budget(m, n, k_max)
     if budget > DET_BUDGET:
-        raise ValueError(
+        raise RefusedError(
             f"enumeration budget {budget} exceeds {DET_BUDGET}; lower k_max"
         )
     best = 0.0
@@ -247,7 +236,7 @@ def detlb2_exact(a, k_max: int) -> float:
         raise ValueError("k_max must be at least 1")
     budget = sum(comb(n, k) for k in range(1, k_max + 1))
     if budget > DET_BUDGET:
-        raise ValueError(
+        raise RefusedError(
             f"enumeration budget {budget} exceeds {DET_BUDGET}; lower k_max"
         )
     best = 0.0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .gamma2 import (
     write_certificate,
 )
 from .linalg import (
+    RefusedError,
     as_matrix,
     tn_matrix,
     tn_singular_values_closed_form,
@@ -117,13 +117,6 @@ def write_csv(rows: list[ReportRow], path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _solve_oriented(a: np.ndarray, *, tol: float):
     """Solve gamma_2 with the smaller side as rows.
 
@@ -154,7 +147,6 @@ def tn_figure(
     ns,
     *,
     tol: float = 1e-4,
-    threads: int = 1,
     out: str | None = None,
     certs_dir: str | None = None,
 ) -> list[ReportRow]:
@@ -170,7 +162,7 @@ def tn_figure(
     ns = list(ns)
     for n in ns:
         if not 1 <= n <= TN_FIGURE_CAP:
-            raise ValueError(f"tn_figure caps at n <= {TN_FIGURE_CAP}, got {n}")
+            raise RefusedError(f"tn_figure caps at n <= {TN_FIGURE_CAP}, got {n}")
 
     def solve(n: int) -> ReportRow:
         t0 = time.time()
@@ -197,7 +189,7 @@ def tn_figure(
         assert cert.upper <= log_bound + fp_slack, f"T_{n}: primal above log bound"
         return row
 
-    rows = _pmap(solve, ns, threads)
+    rows = [solve(n) for n in ns]
     if certs_dir is not None:
         for row in rows:
             _write_row_certificate(row, certs_dir)
@@ -225,7 +217,7 @@ def ellipsoid_dump(
     invariant max diag(D) = upper^2 is asserted.
     """
     if not 1 <= n <= ELLIPSOID_CAP:
-        raise ValueError(f"ellipsoid_dump caps at n <= {ELLIPSOID_CAP}, got {n}")
+        raise RefusedError(f"ellipsoid_dump caps at n <= {ELLIPSOID_CAP}, got {n}")
     cert = gamma2(tn_matrix(n), tol=tol)
     os.makedirs(out_dir, exist_ok=True)
     d_path = os.path.join(out_dir, f"T_{n}_D.txt")
@@ -345,7 +337,7 @@ def subcube_report(
     solved value, their ratio, and log2(gamma_2)/d as an estimate of
     the growth exponent (about 0.2075)."""
     if not 1 <= d <= SUBCUBE_CAP:
-        raise ValueError(f"subcube_report caps at d <= {SUBCUBE_CAP}, got {d}")
+        raise RefusedError(f"subcube_report caps at d <= {SUBCUBE_CAP}, got {d}")
     t0 = time.time()
     closed = (2.0 / np.sqrt(3.0)) ** d
     cert, _ = _solve_oriented(subcubes(d).incidence, tol=tol)
@@ -371,7 +363,6 @@ def ap_report(
     ns,
     *,
     tol: float = 1e-4,
-    threads: int = 1,
     out: str | None = None,
     certs_dir: str | None = None,
 ) -> list[ReportRow]:
@@ -385,7 +376,7 @@ def ap_report(
     ns = list(ns)
     for n in ns:
         if not 1 <= n <= AP_CAP:
-            raise ValueError(f"ap_report caps at n <= {AP_CAP}, got {n}")
+            raise RefusedError(f"ap_report caps at n <= {AP_CAP}, got {n}")
 
     def solve(n: int) -> ReportRow:
         t0 = time.time()
@@ -427,7 +418,7 @@ def ap_report(
             certificate=cert,
         )
 
-    rows = _pmap(solve, ns, threads)
+    rows = [solve(n) for n in ns]
     if certs_dir is not None:
         for row in rows:
             _write_row_certificate(row, certs_dir)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import KRON_ENTRY_CAP, as_matrix, kron, tn_matrix
+from .linalg import KRON_ENTRY_CAP, RefusedError, as_matrix, kron, tn_matrix
 
 # Largest ground-set size any constructor here will touch.
 GROUND_CAP = 4096
@@ -57,7 +57,7 @@ class SetSystem:
         if not np.all((inc == 0.0) | (inc == 1.0)):
             raise ValueError("incidence entries must be 0 or 1")
         if inc.shape[1] > GROUND_CAP:
-            raise ValueError(
+            raise RefusedError(
                 f"ground size {inc.shape[1]} exceeds cap {GROUND_CAP}"
             )
         if self.labels is not None and len(self.labels) != inc.shape[0]:
@@ -104,7 +104,7 @@ def grid_anchored(d: int, n: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSy
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n**d > GROUND_CAP:
-        raise ValueError(f"ground size {n**d} exceeds cap {GROUND_CAP}")
+        raise RefusedError(f"ground size {n**d} exceeds cap {GROUND_CAP}")
     inc = tn_matrix(n)
     for _ in range(d - 1):
         inc = kron(inc, tn_matrix(n), max_entries=max_entries)
@@ -125,7 +125,7 @@ def subcubes(d: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if 2**d > GROUND_CAP:
-        raise ValueError(f"ground size {2**d} exceeds cap {GROUND_CAP}")
+        raise RefusedError(f"ground size {2**d} exceeds cap {GROUND_CAP}")
     inc = _SUBCUBE_BASE
     for _ in range(d - 1):
         inc = kron(inc, _SUBCUBE_BASE, max_entries=max_entries)
@@ -147,7 +147,7 @@ def arithmetic_progressions(n: int) -> SetSystem:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > AP_GROUND_CAP:
-        raise ValueError(f"n = {n} exceeds cap {AP_GROUND_CAP}")
+        raise RefusedError(f"n = {n} exceeds cap {AP_GROUND_CAP}")
     sets: set[tuple[int, ...]] = set()
     for a in range(1, n + 1):
         sets.add((a,))
@@ -187,7 +187,7 @@ def maximal_aps(interval_size: int) -> MaximalAps:
     if interval_size < 1:
         raise ValueError(f"interval_size must be >= 1, got {interval_size}")
     if interval_size > AP_GROUND_CAP:
-        raise ValueError(
+        raise RefusedError(
             f"interval_size = {interval_size} exceeds cap {AP_GROUND_CAP}"
         )
     s = interval_size
@@ -230,7 +230,7 @@ def k_permutations(perms) -> SetSystem:
     if n < 1:
         raise ValueError("permutations must be nonempty")
     if n > GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds cap {GROUND_CAP}")
+        raise RefusedError(f"ground size {n} exceeds cap {GROUND_CAP}")
     target = set(range(1, n + 1))
     for p in perms:
         if len(p) != n or set(p) != target:
@@ -258,7 +258,7 @@ def power_set(n: int) -> SetSystem:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > POWER_SET_CAP:
-        raise ValueError(f"n = {n} exceeds cap {POWER_SET_CAP}")
+        raise RefusedError(f"n = {n} exceeds cap {POWER_SET_CAP}")
     masks = np.arange(2**n, dtype=np.int64)
     inc = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
     return SetSystem(inc)
@@ -282,7 +282,7 @@ def union(f: SetSystem, g: SetSystem) -> SetSystem:
 def product(f: SetSystem, g: SetSystem, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
     """Product system: sets F x G on ground set [m] x [n] (Kronecker)."""
     if f.ground_size * g.ground_size > GROUND_CAP:
-        raise ValueError(
+        raise RefusedError(
             f"product ground size {f.ground_size * g.ground_size} "
             f"exceeds cap {GROUND_CAP}"
         )

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, flags, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import g2d
 from g2d.cli import main, parse_ns
 from g2d.gamma2 import read_certificate
 from g2d.linalg import read_matrix, tn_matrix, write_matrix
@@ -158,6 +163,16 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_cap_refusal_in_report(capsys):
+    assert main(["tn-figure", "--ns", "300"]) == 3
+
+
+def test_exit_code_parse_error_is_not_a_refusal(capsys):
+    # exit 3 is chosen by the exception type, not by words in the message
+    assert main(["tn-figure", "--ns", "2,cap"]) == 2
+    assert main(["tn-figure", "--ns", "2,x"]) == 2
+
+
 def test_exit_code_missing_file(capsys):
     code = main(["audit", "--in", "/nonexistent/never.txt"])
     assert code != 0
@@ -178,9 +193,15 @@ def test_seed_determinism_via_cli(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_flag_matches_serial(tmp_path):
-    out1 = tmp_path / "s.csv"
-    out2 = tmp_path / "p.csv"
-    assert main(["tn-figure", "--ns", "2,4", "--out", str(out1)]) == 0
-    assert main(["tn-figure", "--ns", "2,4", "--threads", "2", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_package_import_is_serial_and_numpy_only():
+    # the package runs one serial path on numpy alone
+    src = os.path.dirname(os.path.dirname(g2d.__file__))
+    code = (
+        "import sys, g2d, g2d.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'scipy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

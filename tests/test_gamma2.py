@@ -25,7 +25,7 @@ from g2d.gamma2 import (
     write_certificate,
 )
 from g2d.interior import minimum_height_ellipsoid
-from g2d.linalg import nuclear_norm, tn_matrix
+from g2d.linalg import RefusedError, nuclear_norm, tn_matrix
 
 C1 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -249,8 +249,8 @@ def test_certificate_checker_accepts_solver_output():
 
 @pytest.mark.parametrize("lower_factor", [1.0 - 9e-5, 1.0])
 def test_certificate_checker_rejects_upper_below_own_weights(lower_factor):
-    # scaling the bounds by less than tol passes every tol-slack check;
-    # the unchanged weights still certify the true value, above upper
+    # the bounds are scaled by less than tol; the unchanged weights
+    # still certify the true value, above upper
     a = tn_matrix(8)
     cert = gamma2(a)
     upper = cert.upper * (1.0 - 9e-5)
@@ -259,6 +259,42 @@ def test_certificate_checker_rejects_upper_below_own_weights(lower_factor):
     assert dual_value(a, bad.dual_p, bad.dual_q) > bad.upper
     with pytest.raises(CertificateError, match="weights certify"):
         check_certificate(bad, a)
+
+
+def _rescale_inner_column(cert, factor):
+    # B diag(r), diag(r)^-1 C keeps B C = A; scaling the column that
+    # holds B's largest entry raises the factor-norm product
+    r = np.ones(cert.factor_left.shape[1])
+    r[np.argmax(np.abs(cert.factor_left).max(axis=0))] = factor
+    return dataclasses.replace(
+        cert, factor_left=cert.factor_left * r, factor_right=cert.factor_right / r[:, None]
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda c: dataclasses.replace(c, ellipsoid=Ellipsoid(c.ellipsoid.d * (1.0 - 9e-5))), "membership"),
+        (lambda c: dataclasses.replace(c, ellipsoid=Ellipsoid(c.ellipsoid.d * (1.0 + 9e-5))), "inf-norm"),
+        (lambda c: _rescale_inner_column(c, 1.0 + 9e-5), "factor norms"),
+    ],
+    ids=["D_shrunk", "D_grown", "B_scaled"],
+)
+def test_certificate_checker_rejects_tampered_primal(tamper, message):
+    # each tamper moves one primal quantity by less than the solver's tol
+    # and leaves the others valid; the check's slack is float64 error
+    a = tn_matrix(8)
+    cert = gamma2(a)
+    bad = tamper(cert)
+    assert np.linalg.norm(bad.factor_left @ bad.factor_right - a) <= 1e-12 * np.linalg.norm(a)
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(bad, a)
+
+
+def test_gamma2_refuses_oversized_ellipsoid():
+    # 6325^2 entries are over KRON_ENTRY_CAP; refused before any solve
+    with pytest.raises(RefusedError):
+        gamma2(np.ones((6325, 1)))
 
 
 def test_certificate_checker_rejects_wrong_matrix():
@@ -296,11 +332,12 @@ def test_factor_norms_are_balanced():
 
 
 def test_lift_only_path_matches_default():
-    # ip_side_cap=0 disables interior-point refinement so the upper
-    # bound comes from the lifted and trivial candidates alone
+    # tol=1.0 makes the gap check pass, so the interior point is
+    # skipped and the upper bound comes from the lifted and trivial
+    # candidates alone
     t3 = tn_matrix(3)
     ref = gamma2(t3).upper
-    value, ell, b, c, _ = gamma2_upper(t3, ip_side_cap=0)
+    value, ell, b, c, _ = gamma2_upper(t3, tol=1.0)
     assert value >= ref - 1e-9
     assert value <= ref * (1.0 + 2e-3)
     for j in range(3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2d.linalg import (
+    RefusedError,
     as_matrix,
     circulant_interval,
     circulant_interval_eigenvalues,
@@ -91,7 +92,7 @@ def test_kron_mixed_product_property():
 
 
 def test_kron_entry_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedError):
         kron(np.ones((10, 10)), np.ones((10, 10)), max_entries=9999)
 
 

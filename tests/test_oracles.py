@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2d.gamma2 import gamma2
-from g2d.linalg import tn_matrix
+from g2d.linalg import RefusedError, tn_matrix
 from g2d.oracles import (
     ColoringResult,
     compose_bounds,
@@ -79,7 +79,7 @@ def test_disc_recompute_and_caps():
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     res = disc_exact(a)
     assert abs(res.recompute(a) - res.value) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedError):
         disc_exact(np.ones((1, 27)))
 
 
@@ -114,7 +114,7 @@ def test_herdisc_monotone():
 
 
 def test_herdisc_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedError):
         herdisc_exact(np.ones((1, 17)))
 
 
@@ -205,7 +205,7 @@ def test_detlb_matches_brute_force():
 
 
 def test_detlb_budget_refusal():
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedError):
         detlb_exact(np.ones((30, 30)), 15)
 
 

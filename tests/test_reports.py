@@ -56,14 +56,6 @@ def test_tn_figure_rerun_is_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_tn_figure_threads_match_serial(tmp_path):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "par.csv"
-    tn_figure([2, 4, 8], threads=1, out=str(out1))
-    tn_figure([2, 4, 8], threads=3, out=str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_ellipsoid_dump_t2(tmp_path):
     summary = ellipsoid_dump(2, str(tmp_path))
     assert summary["converged"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2d.gamma2 import gamma2
-from g2d.linalg import kron, tn_matrix
+from g2d.linalg import RefusedError, kron, tn_matrix
 from g2d.oracles import disc_exact, herdisc_exact
 from g2d.setsystems import (
     CanonicalInterval,
@@ -383,3 +383,22 @@ def test_set_system_io_without_labels(tmp_path):
     write_set_system(path, f)
     back = read_set_system(path)
     assert np.array_equal(back.incidence, f.incidence)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: power_set(21),
+        lambda: arithmetic_progressions(129),
+        lambda: maximal_aps(129),
+        lambda: subcubes(13),
+        lambda: grid_anchored(2, 65),
+        lambda: product(initial_segments(65), initial_segments(64)),
+        lambda: SetSystem(np.zeros((1, 4097))),
+        lambda: k_permutations([list(range(1, 4098))]),
+    ],
+    ids=["power_set", "aps", "maximal_aps", "subcubes", "grid", "product", "ground", "perms"],
+)
+def test_caps_raise_refused_error(build):
+    with pytest.raises(RefusedError):
+        build()
