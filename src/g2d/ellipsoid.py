@@ -137,3 +137,33 @@ def block_diag_ellipsoid(e1: Ellipsoid, e2: Ellipsoid) -> Ellipsoid:
     d[:d1, :d1] = e1.d
     d[d1:, d1:] = e2.d
     return Ellipsoid(d)
+
+
+# Ridge added to a candidate shape before certification, relative to its
+# largest eigenvalue: it makes the certified ellipsoid full rank.
+_REG_RTOL = 1e-12
+
+
+def _certified_value(a: np.ndarray, d0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Best upper bound on gamma_2 obtainable from the ellipsoid shape d0.
+
+    Rescales d0 so that every column of a fits and reads off the value
+    sqrt(eta * max diag). Returns (value, d_scaled) where
+    d_scaled = eta * (d0 + reg I) contains every column of a with
+    max diag = value^2.
+    """
+    d0 = 0.5 * (d0 + d0.T)
+    lam, vec = np.linalg.eigh(d0)
+    lmax = float(lam[-1]) if lam.size else 0.0
+    if lmax <= 0.0:
+        return np.inf, d0
+    reg = _REG_RTOL * lmax
+    lam = np.clip(lam, 0.0, None) + reg
+    w = vec.T @ a
+    eta = float(np.max(np.sum(w * w / lam[:, None], axis=0)))
+    if eta <= 0.0:  # a == 0
+        return 0.0, np.zeros_like(d0)
+    d_reg = (vec * lam) @ vec.T
+    d_scaled = eta * d_reg
+    maxdiag = float(np.max(np.diag(d_scaled)))
+    return float(np.sqrt(maxdiag)), d_scaled

@@ -39,7 +39,10 @@ The solve path:
    compared with the trivial factorizations A = A I and A = I A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
    smaller side, only while the certified gap exceeds the requested
-   tolerance and that side is small enough.
+   tolerance and that side is small enough. It stops after the first
+   barrier stage whose ellipsoid certifies an upper bound of at most
+   lower / (1 - tol), which closes the gap, and otherwise runs to a
+   barrier gap far below tol.
 
 The path makes no random choices: a matrix always gets the same
 certificate.
@@ -51,12 +54,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, ellipsoid_inf_norm, membership_value
+from .ellipsoid import (
+    _REG_RTOL,
+    Ellipsoid,
+    _certified_value,
+    ellipsoid_inf_norm,
+    membership_value,
+)
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
     RefusedError,
     as_matrix,
+    atomic_write,
     nuclear_norm,
     one_to_two_norm,
     two_to_infinity_norm,
@@ -187,32 +197,6 @@ def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
 # off the certified value sqrt(eta * max diag).
 # ---------------------------------------------------------------------------
 
-_REG_RTOL = 1e-12
-
-
-def _certified_value(a: np.ndarray, d0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best upper bound obtainable from the ellipsoid shape d0.
-
-    Returns (value, d_scaled) where d_scaled = eta * (d0 + reg I)
-    contains every column of a with max diag = value^2.
-    """
-    d0 = 0.5 * (d0 + d0.T)
-    lam, vec = np.linalg.eigh(d0)
-    lmax = float(lam[-1]) if lam.size else 0.0
-    if lmax <= 0.0:
-        return np.inf, d0
-    reg = _REG_RTOL * lmax
-    lam = np.clip(lam, 0.0, None) + reg
-    w = vec.T @ a
-    eta = float(np.max(np.sum(w * w / lam[:, None], axis=0)))
-    if eta <= 0.0:  # a == 0
-        return 0.0, np.zeros_like(d0)
-    d_reg = (vec * lam) @ vec.T
-    d_scaled = eta * d_reg
-    maxdiag = float(np.max(np.diag(d_scaled)))
-    return float(np.sqrt(maxdiag)), d_scaled
-
-
 def _factors_from_scaled(a: np.ndarray, d_scaled: np.ndarray, value: float):
     """Balanced factors A = B C from a scaled certificate ellipsoid.
 
@@ -326,14 +310,20 @@ def gamma2_upper(
         if val < best_val:
             best_val, best_scaled, best_side_t = val, scaled, side_t
 
-    def gap_ok() -> bool:
-        return best_val - lower <= tol * max(best_val, 1e-300)
+    # the gap is within tol exactly when the upper bound is at most
+    # lower / (1 - tol); any lower >= 0 meets tol >= 1
+    target = lower / (1.0 - tol) if tol < 1.0 else np.inf
 
-    # interior-point refinement on the small side
+    def gap_ok() -> bool:
+        return best_val <= target
+
+    # interior-point refinement on the small side; it stops after the
+    # first barrier stage whose ellipsoid certifies the target, and
+    # otherwise runs to a barrier gap far below tol
     if not gap_ok() and min(m, n) <= IP_SIDE_CAP:
         pts = a if m <= n else a.T
         try:
-            _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01)
+            _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01, target=target)
             val, scaled = _certified_value(pts, w)
             if val < best_val:
                 best_val, best_scaled, best_side_t = val, scaled, m > n
@@ -561,7 +551,7 @@ def write_certificate(path, cert: Gamma2Certificate) -> None:
             buf.write(" ".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
 
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"upper={cert.upper:.17g}\n")
         fh.write(f"lower={cert.lower:.17g}\n")
         fh.write(f"gap={cert.gap:.17g}\n")

@@ -23,7 +23,22 @@ This module solves the program by a short-step log-barrier method:
 with the Schur identity log det [[M, e_i], [e_i^T, t]] =
 log det M + log(t - (M^{-1})_ii), Newton steps on (svec(M), t), and a
 geometric theta schedule. The barrier parameter is
-nu = d(d+1) + #points, so the final duality gap is at most nu / theta.
+nu = d(d+1) + #points, so the duality gap after a stage is at most
+nu / theta.
+
+The solve stops after the first stage that meets either of two rules:
+
+* the certified stop: W = M^{-1}, rescaled so that every point fits,
+  certifies an upper bound on sqrt(t*) of at most the caller's
+  ``target`` (the same certification the gamma_2 solver applies);
+* the barrier stop: nu / theta < tol * t, which alone applies when
+  ``target`` is 0.
+
+Each Newton step assembles the svec Hessian of the log-det terms in one
+call, sym_kron(W, d W + W diag(2/r) W), gathered from the rows and
+columns of its two factors, so no d^4 tensor is built. The line search
+computes the barrier pieces of each trial point, and the accepted point
+passes them on to the next step.
 
 Dimension guidance: the Newton system is dense of order d(d+1)/2 + 1,
 so this is intended for the small side of the input (d up to a few
@@ -34,6 +49,8 @@ Fully deterministic.
 from __future__ import annotations
 
 import numpy as np
+
+from .ellipsoid import _certified_value
 
 _SQ2 = np.sqrt(2.0)
 
@@ -61,38 +78,46 @@ def sym_kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """svec-matrix of the operator Delta -> (P Delta Q + Q Delta P) / 2.
 
     Its quadratic form is svec(Delta)^T (P (x)_s Q) svec(Delta)
-    = tr(Delta P Delta Q).
+    = tr(Delta P Delta Q). Entry (ij, kl), for svec positions i <= j
+    and k <= l, is (p_ik q_jl + p_il q_jk + q_ik p_jl + q_il p_jk) / 4
+    times the two svec weights. Each product is gathered from the
+    rows i or j and the columns k or l of P and Q, so no d^4 tensor is
+    built.
     """
     d = p.shape[0]
     iu, ju = np.triu_indices(d)
     w = np.where(iu == ju, 1.0, _SQ2)
-    t4 = (
-        np.einsum("ik,jl->ijkl", p, q)
-        + np.einsum("il,jk->ijkl", p, q)
-        + np.einsum("ik,jl->ijkl", q, p)
-        + np.einsum("il,jk->ijkl", q, p)
-    ) / 4.0
-    m = t4[iu[:, None], ju[:, None], iu[None, :], ju[None, :]]
-    return m * w[:, None] * w[None, :]
+    pi, pj, qi, qj = p[iu], p[ju], q[iu], q[ju]
+    m = pi[:, iu] * qj[:, ju] + pi[:, ju] * qj[:, iu] + qi[:, iu] * pj[:, ju] + qi[:, ju] * pj[:, iu]
+    return m * (np.outer(w, w) / 4.0)
 
 
 class InteriorPointError(RuntimeError):
     """The barrier method left its domain or failed to progress."""
 
 
+# Barrier schedule: theta grows by THETA_MULT after each stage; a stage
+# takes at most MAX_NEWTON_PER_STAGE Newton steps, the solve at most
+# MAX_STAGES stages.
+THETA_MULT = 8.0
+MAX_NEWTON_PER_STAGE = 60
+MAX_STAGES = 40
+
+
 def minimum_height_ellipsoid(
     points: np.ndarray,
     *,
     tol: float = 1e-9,
-    theta_mult: float = 8.0,
-    max_newton_per_stage: int = 60,
-    max_stages: int = 40,
+    target: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Solve the program above for a d x N array of points (columns).
 
     Returns (t, W) with W = M^{-1} the optimal dual ellipsoid matrix;
     the certified objective value is sqrt(t) and max(diag(W)) ~ t.
-    ``tol`` is the relative duality-gap target on t.
+    ``tol`` is the relative duality-gap target on t. A positive
+    ``target`` ends the solve after the first barrier stage whose W
+    certifies an upper bound (``_certified_value``, on the scale of
+    sqrt(t)) of at most ``target``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -118,11 +143,12 @@ def minimum_height_ellipsoid(
     # svec of p_j p_j^T for all points, for gradient/Hessian accumulation
     outer_flat = aj[:, iu[0]] * aj[:, iu[1]] * wgt[None, :]
 
-    def parts(m_try, t_try, theta_now):
+    def parts(m_try, t_try):
         """Domain check plus barrier pieces; None when outside the domain.
 
-        Returns (W, r, c, f) with f = theta * t - d log det M
-        - sum log r - sum log c, the objective the line search monitors.
+        Returns (W, r, c, logs) with logs = (d log det M, sum log r,
+        sum log c), the theta-free terms of the objective the line
+        search monitors.
         """
         try:
             chol = np.linalg.cholesky(m_try)
@@ -130,31 +156,37 @@ def minimum_height_ellipsoid(
             return None
         w = np.linalg.inv(m_try)
         r = t_try - np.diag(w)
-        c = 1.0 - np.einsum("jk,kl,jl->j", aj, m_try, aj)
+        c = 1.0 - ((aj @ m_try) * aj).sum(axis=1)
         if (r <= 0.0).any() or (c <= 0.0).any():
             return None
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        f = theta_now * t_try - d * logdet - float(np.sum(np.log(r))) - float(
-            np.sum(np.log(c))
-        )
-        return w, r, c, f
+        return w, r, c, (d * logdet, float(np.sum(np.log(r))), float(np.sum(np.log(c))))
 
+    def objective(theta_now, t_now, logs):
+        """theta * t - d log det M - sum log r - sum log c."""
+        return theta_now * t_now - logs[0] - logs[1] - logs[2]
+
+    # the parts of the current iterate; each accepted line-search point
+    # carries its own into the next step
+    pp = parts(m_mat, t)
+    if pp is None:
+        raise InteriorPointError("iterate left the barrier domain")
     theta = 1.0
-    for _stage in range(max_stages):
-        for _ in range(max_newton_per_stage):
-            pp = parts(m_mat, t, theta)
-            if pp is None:
-                raise InteriorPointError("iterate left the barrier domain")
-            w, r, c, f_cur = pp
+    for _stage in range(MAX_STAGES):
+        for _ in range(MAX_NEWTON_PER_STAGE):
+            w, r, c, logs = pp
+            f_cur = objective(theta, t, logs)
             grad_m = -d * w - (w * (1.0 / r)) @ w + (aj.T * (1.0 / c)) @ aj
             g = np.concatenate([svec(grad_m), [theta - float(np.sum(1.0 / r))]])
 
             # Hessian blocks; s_i = W e_i, so
-            #   sum_i (2/r_i) s_i s_i^T = W diag(2/r) W.
+            #   sum_i (2/r_i) s_i s_i^T = W diag(2/r) W,
+            # and sym_kron is bilinear, so the two log-det terms
+            # d K(W, W) + K(W, S~) are one K(W, d W + S~)
             stilde = (w * (2.0 / r)) @ w
-            h11 = d * sym_kron(w, w) + sym_kron(w, stilde)
-            outs = w.T[:, :, None] * w.T[:, None, :]  # outs[i] = s_i s_i^T
-            ui = outs[:, iu[0], iu[1]] * wgt[None, :]
+            h11 = sym_kron(w, d * w + stilde)
+            wt = w.T  # row i is s_i
+            ui = wt[:, iu[0]] * wt[:, iu[1]] * wgt[None, :]  # svec(s_i s_i^T)
             h11 += (ui.T * (1.0 / r**2)) @ ui
             h11 += (outer_flat.T * (1.0 / c**2)) @ outer_flat
             hcross = ui.T @ (1.0 / r**2)
@@ -183,16 +215,18 @@ def minimum_height_ellipsoid(
             step = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
             accepted = False
             while step > 1e-14:
-                pp_new = parts(m_mat + step * dm, t + step * dt, theta)
-                if pp_new is not None and pp_new[3] <= f_cur - 0.25 * step * decrement:
+                m_try, t_try = m_mat + step * dm, t + step * dt
+                pp_new = parts(m_try, t_try)
+                if pp_new is not None and objective(theta, t_try, pp_new[3]) <= f_cur - 0.25 * step * decrement:
                     accepted = True
                     break
                 step *= 0.5
             if not accepted:
                 break  # at the numerical floor for this stage
-            m_mat = m_mat + step * dm
-            t = t + step * dt
+            m_mat, t, pp = m_try, t_try, pp_new
+        if target > 0.0 and _certified_value(pts, pp[0])[0] <= target:
+            break
         if nu / theta < tol * max(abs(t), 1.0):
             break
-        theta *= theta_mult
-    return float(t), np.linalg.inv(m_mat)
+        theta *= THETA_MULT
+    return float(t), pp[0]

@@ -17,6 +17,8 @@ Structured families used throughout:
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +230,30 @@ def one_to_two_norm(a) -> float:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a text file that replaces ``path`` only once it is complete.
+
+    Writes go to a new temp file in the same directory, which
+    ``os.replace`` renames onto ``path`` when the block exits normally.
+    If the block raises, the temp file is removed and ``path`` keeps its
+    old content, so no reader ever sees a half-written file.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    # O_EXCL: never write through a name that already exists; mode 0o666
+    # leaves the permissions to the umask, as open(path, "w") does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_matrix(path, a, *, comments: list[str] | None = None) -> None:
     a = as_matrix(a)
     m, n = a.shape
@@ -238,7 +264,7 @@ def write_matrix(path, a, *, comments: list[str] | None = None) -> None:
     lines.append(f"{m} {n}")
     for row in a:
         lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

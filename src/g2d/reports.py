@@ -29,6 +29,7 @@ from .gamma2 import (
 from .linalg import (
     RefusedError,
     as_matrix,
+    atomic_write,
     tn_matrix,
     tn_singular_values_closed_form,
     write_matrix,
@@ -105,7 +106,7 @@ def write_csv(rows: list[ReportRow], path: str) -> None:
     if not rows:
         raise ValueError("no rows to write")
     headers = ["label", "n", "d"] + list(rows[0].columns.keys())
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(headers) + "\n")
         for row in rows:
             cells = [
@@ -241,7 +242,7 @@ def ellipsoid_dump(
         "weight_reversal_deviation": reversal,
         "files": [d_path, p_path, q_path],
     }
-    with open(os.path.join(out_dir, f"T_{n}_summary.txt"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, f"T_{n}_summary.txt")) as fh:
         for key in (
             "n",
             "upper",

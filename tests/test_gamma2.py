@@ -291,6 +291,23 @@ def test_certificate_checker_rejects_tampered_primal(tamper, message):
         check_certificate(bad, a)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda c, a: (dataclasses.replace(c, dual_p=c.dual_q, dual_q=c.dual_p), a),
+        lambda c, a: (c, a.T),
+    ],
+    ids=["p_q_swapped", "matrix_transposed"],
+)
+def test_certificate_checker_rejects_swapped_weights_and_transpose(tamper):
+    # T_8 is square, so both tampers keep every shape valid; the weights
+    # then certify 1.23, not the stored lower bound 1.51
+    a = tn_matrix(8)
+    bad, mat = tamper(gamma2(a), a)
+    with pytest.raises(CertificateError, match="not reproduced"):
+        check_certificate(bad, mat)
+
+
 def test_gamma2_refuses_oversized_ellipsoid():
     # 6325^2 entries are over KRON_ENTRY_CAP; refused before any solve
     with pytest.raises(RefusedError):

@@ -1,0 +1,86 @@
+"""Interior-point refiner: the svec Hessian kernel and Newton-step counts."""
+
+import importlib
+
+import numpy as np
+
+from g2d.gamma2 import gamma2
+from g2d.interior import svec, sym_kron
+from g2d.setsystems import arithmetic_progressions
+
+interior = importlib.import_module("g2d.interior")
+
+
+def _sym_kron_reference(p, q):
+    """The four-einsum formula: the full d^4 tensor of
+    Delta -> (P Delta Q + Q Delta P) / 2, restricted to svec entries."""
+    d = p.shape[0]
+    iu, ju = np.triu_indices(d)
+    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    t4 = (
+        np.einsum("ik,jl->ijkl", p, q)
+        + np.einsum("il,jk->ijkl", p, q)
+        + np.einsum("ik,jl->ijkl", q, p)
+        + np.einsum("il,jk->ijkl", q, p)
+    ) / 4.0
+    m = t4[iu[:, None], ju[:, None], iu[None, :], ju[None, :]]
+    return m * w[:, None] * w[None, :]
+
+
+def _random_symmetric(rng, d):
+    x = rng.standard_normal((d, d))
+    return x + x.T
+
+
+def test_sym_kron_matches_reference_and_identities():
+    rng = np.random.default_rng(50)
+    for d in range(1, 7):
+        p, q, s, delta = (_random_symmetric(rng, d) for _ in range(4))
+        got = sym_kron(p, q)
+        ref = _sym_kron_reference(p, q)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # bilinear: the Newton step's two log-det terms are one call
+        merged = sym_kron(p, d * p + s)
+        split = d * sym_kron(p, p) + sym_kron(p, s)
+        assert np.max(np.abs(merged - split)) <= 1e-13 * np.max(np.abs(split))
+        # the quadratic form is tr(Delta P Delta Q)
+        x = svec(delta)
+        form = float(x @ got @ x)
+        trace = float(np.trace(delta @ p @ delta @ q))
+        assert abs(form - trace) <= 1e-12 * max(abs(trace), 1.0)
+
+
+def _count_hessians(monkeypatch):
+    # one sym_kron call builds one Newton step's Hessian
+    calls = []
+    original = interior.sym_kron
+
+    def counting(p, q):
+        calls.append(p.shape[0])
+        return original(p, q)
+
+    monkeypatch.setattr(interior, "sym_kron", counting)
+    return calls
+
+
+def test_ap14_refiner_stops_on_certified_gap(monkeypatch):
+    calls = _count_hessians(monkeypatch)
+    a = arithmetic_progressions(14).incidence.T  # the small side first
+    assert a.shape == (14, 242)
+    cert = gamma2(a)
+    # about 490 Newton steps when the refiner ran to a 1e-11 barrier gap
+    assert 0 < len(calls) <= 160
+    assert cert.converged
+
+
+def test_gaussian_4x4_refiner_steps(monkeypatch):
+    # the 12 solves of test_gamma2_triangle_inequality: 2080 Newton
+    # steps when the refiner ran to a 1e-11 barrier gap
+    calls = _count_hessians(monkeypatch)
+    rng = np.random.default_rng(35)
+    for _ in range(4):
+        a = rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 4))
+        for mat in (a, b, a + b):
+            assert gamma2(mat).converged
+    assert len(calls) <= 500

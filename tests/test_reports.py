@@ -1,9 +1,11 @@
 """Report suite: figure data, dumps, audits, CSV determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from g2d.gamma2 import check_certificate, read_certificate
+from g2d.gamma2 import check_certificate, gamma2, read_certificate, write_certificate
 from g2d.linalg import nuclear_norm, read_matrix, tn_matrix
 from g2d.reports import (
     ReportRow,
@@ -190,3 +192,26 @@ def test_write_csv_schema(tmp_path):
     assert lines[2] == "two,2,,2.5,0"
     with pytest.raises(ValueError):
         write_csv([], str(path))
+
+
+def _bad_csv(path):
+    # the second row lacks a column: KeyError after the header and the
+    # first row are written
+    rows = [ReportRow(label="one", columns={"a": 1.0}), ReportRow(label="two", columns={})]
+    write_csv(rows, path)
+
+
+def _bad_certificate(path):
+    # q is not numeric: ValueError after D, B, C and p are written
+    cert = gamma2(np.eye(2))
+    write_certificate(path, dataclasses.replace(cert, dual_q=np.array(["x", "y"])))
+
+
+@pytest.mark.parametrize("bad_write, error", [(_bad_csv, KeyError), (_bad_certificate, ValueError)])
+def test_interrupted_write_keeps_old_file(tmp_path, bad_write, error):
+    path = tmp_path / "out.txt"
+    path.write_text("old content\n")
+    with pytest.raises(error):
+        bad_write(str(path))
+    assert path.read_text() == "old content\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
