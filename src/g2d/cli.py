@@ -57,6 +57,7 @@ from .reports import (
     subcube_report,
     tn_figure,
     tusnady_report,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -224,8 +225,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         row = tusnady_report(args.d, args.n, tol=tol)
         _print_kv(_row_kv(row))
         if args.out:
-            from .reports import write_csv
-
             write_csv([row], args.out)
         return EXIT_OK
 
@@ -233,8 +232,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         row = subcube_report(args.d, tol=tol)
         _print_kv(_row_kv(row))
         if args.out:
-            from .reports import write_csv
-
             write_csv([row], args.out)
         return EXIT_OK
 

@@ -14,6 +14,12 @@ composes well with the bound calculus:
   union bound;
 * a block-diagonal D contains the block-wise embeddings of its parts,
   which powers the disjoint-support bound.
+
+``certify`` turns any candidate shape into a certificate for the
+columns of a matrix A: it scales the shape until every column fits and
+returns the value max_i sqrt(D_ii), the ellipsoid D and the balanced
+factors A = B C with D = value * B B^T, all from one eigendecomposition.
+Every upper bound on gamma_2 in the package comes from it.
 """
 
 from __future__ import annotations
@@ -90,16 +96,7 @@ def ellipsoid_contains(e: Ellipsoid, v, *, tol: float = 1e-9) -> bool:
         raise ValueError(f"vector has dim {v.shape[0]}, ellipsoid {e.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
-    if float(v @ v) == 0.0:
-        return True
-    lam, vec = e.spectrum()
-    lmax = float(lam[-1])
-    if lmax <= 0.0:
-        return False
-    cutoff = RANGE_RTOL * lmax
-    w = vec.T @ v
-    quad = float(np.sum(w * w / np.maximum(lam, cutoff)))
-    return quad <= 1.0 + tol
+    return membership_value(e, v) <= 1.0 + tol
 
 
 def membership_value(e: Ellipsoid, v) -> float:
@@ -144,26 +141,31 @@ def block_diag_ellipsoid(e1: Ellipsoid, e2: Ellipsoid) -> Ellipsoid:
 _REG_RTOL = 1e-12
 
 
-def _certified_value(a: np.ndarray, d0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best upper bound on gamma_2 obtainable from the ellipsoid shape d0.
+def certify(a: np.ndarray, shape: np.ndarray):
+    """The certificate an ellipsoid shape gives for the columns of a.
 
-    Rescales d0 so that every column of a fits and reads off the value
-    sqrt(eta * max diag). Returns (value, d_scaled) where
-    d_scaled = eta * (d0 + reg I) contains every column of a with
-    max diag = value^2.
+    Returns (value, D, B, C) from one eigendecomposition of the
+    symmetrized shape V (L + reg) V^T, with the ridge reg making it full
+    rank. With eta the largest quadratic form of a column against it,
+    D = eta V (L + reg) V^T contains every column of a and has max
+    diag D = value^2, so value bounds gamma_2(a) from above. The factors
+    B = V S and C = S^-1 V^T a with S = diag(sqrt(eta (L + reg) / value))
+    reproduce a, B B^T = D / value, and every row of B and column of C
+    has norm at most sqrt(value). A shape with no positive eigenvalue
+    certifies nothing: (inf, None, None, None).
     """
-    d0 = 0.5 * (d0 + d0.T)
-    lam, vec = np.linalg.eigh(d0)
+    shape = 0.5 * (shape + shape.T)
+    lam, vec = np.linalg.eigh(shape)
     lmax = float(lam[-1]) if lam.size else 0.0
     if lmax <= 0.0:
-        return np.inf, d0
-    reg = _REG_RTOL * lmax
-    lam = np.clip(lam, 0.0, None) + reg
+        return np.inf, None, None, None
+    lam = np.clip(lam, 0.0, None) + _REG_RTOL * lmax
     w = vec.T @ a
     eta = float(np.max(np.sum(w * w / lam[:, None], axis=0)))
     if eta <= 0.0:  # a == 0
-        return 0.0, np.zeros_like(d0)
-    d_reg = (vec * lam) @ vec.T
-    d_scaled = eta * d_reg
-    maxdiag = float(np.max(np.diag(d_scaled)))
-    return float(np.sqrt(maxdiag)), d_scaled
+        m, n = a.shape
+        return 0.0, np.zeros_like(shape), np.zeros((m, 1)), np.zeros((1, n))
+    d = eta * ((vec * lam) @ vec.T)
+    value = float(np.sqrt(float(np.max(np.diag(d)))))
+    root = np.sqrt(eta * lam / value)
+    return value, d, vec * root, w / root[:, None]

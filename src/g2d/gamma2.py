@@ -35,14 +35,19 @@ The solve path:
    ||M||_* = max_{||Z||_2 <= 1} <M, Z>, one SVD per step;
 3. a closed-form primal lift of the dual weights (the first-order
    conditions pair an optimal (p, q) with the optimal ellipsoid
-   P^{-1/2} U Sigma U^T P^{-1/2}), certified after the fact and
-   compared with the trivial factorizations A = A I and A = I A;
+   P^{-1/2} U Sigma U^T P^{-1/2}), on the row and the column side,
+   next to the shapes of the trivial factorizations A = A I and
+   A = I A. ``ellipsoid.certify`` turns each shape into its value, its
+   ellipsoid D and balanced factors A = B C with D = value * B B^T,
+   from one eigendecomposition; the least value wins, and a column-side
+   winner is transposed into B, C and D for A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
    smaller side, only while the certified gap exceeds the requested
    tolerance and that side is small enough. It stops after the first
    barrier stage whose ellipsoid certifies an upper bound of at most
    lower / (1 - tol), which closes the gap, and otherwise runs to a
-   barrier gap far below tol.
+   barrier gap far below tol. Its ellipsoid goes through ``certify``
+   like every other candidate and wins only if its value is lower.
 
 The path makes no random choices: a matrix always gets the same
 certificate.
@@ -54,21 +59,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import (
-    _REG_RTOL,
-    Ellipsoid,
-    _certified_value,
-    ellipsoid_inf_norm,
-    membership_value,
-)
+from .ellipsoid import Ellipsoid, certify, ellipsoid_inf_norm, membership_value
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
     RefusedError,
     as_matrix,
     atomic_write,
+    format_matrix,
     nuclear_norm,
     one_to_two_norm,
+    parse_matrix,
     two_to_infinity_norm,
 )
 
@@ -192,34 +193,12 @@ def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Upper bounds: every candidate is an ellipsoid matrix D (any scale); the
-# certification step rescales it so that all columns fit exactly and reads
-# off the certified value sqrt(eta * max diag).
+# Upper bounds: every candidate is an ellipsoid shape (any scale), and
+# ellipsoid.certify turns it into the certified value, the ellipsoid and
+# the balanced factors.
 # ---------------------------------------------------------------------------
 
-def _factors_from_scaled(a: np.ndarray, d_scaled: np.ndarray, value: float):
-    """Balanced factors A = B C from a scaled certificate ellipsoid.
-
-    d_scaled contains all columns (quadratic form <= 1) and has max
-    diagonal value^2. With D = V L V^T (full rank after the caller's
-    regularization), B0 = V L^1/2 and C0 = L^-1/2 V^T A reproduce A
-    exactly; balancing spreads value evenly across the two factors.
-    """
-    lam, vec = np.linalg.eigh(0.5 * (d_scaled + d_scaled.T))
-    lam = np.clip(lam, 0.0, None)
-    lmax = float(lam[-1]) if lam.size else 0.0
-    if lmax <= 0.0 or value <= 0.0:
-        m, n = a.shape
-        return np.zeros((m, 1)), np.zeros((1, n))
-    lam = lam + _REG_RTOL * lmax
-    root = np.sqrt(lam)
-    b0 = vec * root
-    c0 = (vec / root).T @ a
-    s = 1.0 / np.sqrt(value)
-    return b0 * s, c0 / s
-
-
-def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray, floor: float = 1e-12):
+def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Primal ellipsoid shapes implied by dual weights, both sides.
 
     At a dual optimum with singular decomposition
@@ -228,10 +207,10 @@ def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray, floor: float =
     column-side analogue). Away from optimality these are merely
     candidate shapes; certification decides their worth.
     """
-    m, n = a.shape
-    pf = np.maximum(p, floor)
+    # zero weights are raised to 1e-12 so that P^-1/2 and Q^-1/2 exist
+    pf = np.maximum(p, 1e-12)
     pf = pf / pf.sum()
-    qf = np.maximum(q, floor)
+    qf = np.maximum(q, 1e-12)
     qf = qf / qf.sum()
     mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -290,57 +269,42 @@ def gamma2_upper(
     if dual is None:
         dual = gamma2_lower_dual(a)
     lower, p, q = dual
-    lower = max(lower, uniform_nuclear_lower(a) * (1.0 - 1e-12))
 
     d_row, d_col = _lift_candidates(a, p, q)
-    # (shape, transposed?) pairs; transposed shapes enclose the rows of A
-    candidates = [
-        (a @ a.T, False),  # trivial factorization A = A I
-        (np.eye(m) * one_to_two_norm(a) ** 2, False),  # A = I A
-        (d_row, False),
-        (d_col, True),
-    ]
-
-    best_val = np.inf
-    best_scaled: np.ndarray | None = None
-    best_side_t = False
-    for mat, side_t in candidates:
-        target = a.T if side_t else a
-        val, scaled = _certified_value(target, mat)
-        if val < best_val:
-            best_val, best_scaled, best_side_t = val, scaled, side_t
+    # (certificate, transposed?) pairs; a transposed certificate
+    # encloses the rows of A
+    best, side_t = min(
+        [
+            (certify(a, a @ a.T), False),  # trivial factorization A = A I
+            (certify(a, np.eye(m) * one_to_two_norm(a) ** 2), False),  # A = I A
+            (certify(a, d_row), False),
+            (certify(a.T, d_col), True),
+        ],
+        key=lambda cand: cand[0][0],
+    )
 
     # the gap is within tol exactly when the upper bound is at most
     # lower / (1 - tol); any lower >= 0 meets tol >= 1
     target = lower / (1.0 - tol) if tol < 1.0 else np.inf
 
-    def gap_ok() -> bool:
-        return best_val <= target
-
     # interior-point refinement on the small side; it stops after the
     # first barrier stage whose ellipsoid certifies the target, and
     # otherwise runs to a barrier gap far below tol
-    if not gap_ok() and min(m, n) <= IP_SIDE_CAP:
+    if best[0] > target and min(m, n) <= IP_SIDE_CAP:
         pts = a if m <= n else a.T
         try:
             _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01, target=target)
-            val, scaled = _certified_value(pts, w)
-            if val < best_val:
-                best_val, best_scaled, best_side_t = val, scaled, m > n
+            refined = certify(pts, w)
+            if refined[0] < best[0]:
+                best, side_t = refined, m > n
         except (InteriorPointError, np.linalg.LinAlgError):
             pass
 
-    converged = gap_ok()
-    target = a.T if best_side_t else a
-    b_t, c_t = _factors_from_scaled(target, best_scaled, best_val)
-    if best_side_t:
-        b, c = c_t.T, b_t.T
-        d_final = best_val * (b @ b.T)
-        ell = Ellipsoid(d_final)
-    else:
-        ell = Ellipsoid(best_scaled)
-        b, c = b_t, c_t
-    return float(best_val), ell, b, c, converged
+    value, d, b, c = best
+    if side_t:
+        b, c = c.T, b.T
+        d = value * (b @ b.T)
+    return float(value), Ellipsoid(d), b, c, value <= target
 
 
 def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -463,24 +427,32 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     """
     a = as_matrix(a)
     m, n = a.shape
+    b, c = cert.factor_left, cert.factor_right
+    p, q = cert.dual_p, cert.dual_q
+    if b.ndim != 2 or c.ndim != 2 or b.shape[0] != m or c.shape[1] != n or b.shape[1] != c.shape[0]:
+        raise CertificateError(
+            f"factor shapes {b.shape} x {c.shape} do not match {a.shape}"
+        )
+    if p.shape != (m,) or q.shape != (n,):
+        raise CertificateError(
+            f"weight shapes {p.shape}, {q.shape} do not match {a.shape}"
+        )
+    # upper = inf is a true, if useless, bound
+    if np.isnan(cert.upper) or not np.isfinite(cert.lower):
+        raise CertificateError(f"lower {cert.lower} must be finite, upper {cert.upper} a number")
+    if not all(np.isfinite(x).all() for x in (p, q, b, c)):
+        raise CertificateError("weights or factors have non-finite entries")
+
     scale = max(cert.upper, 1.0)
     report: dict[str, float] = {}
-
     if not (cert.lower <= cert.upper + CHECK_RTOL * scale):
         raise CertificateError(
             f"lower {cert.lower} > upper {cert.upper} + slack"
         )
     report["weak_duality_slack"] = cert.upper - cert.lower
 
-    b, c = cert.factor_left, cert.factor_right
-    if b.shape[0] != m or c.shape[1] != n or b.shape[1] != c.shape[0]:
-        raise CertificateError(
-            f"factor shapes {b.shape} x {c.shape} do not match {a.shape}"
-        )
-
     # the weights first: a bound scaled below what they certify is
     # reported as such, not as the factor-norm excess it also causes
-    p, q = cert.dual_p, cert.dual_q
     if (p < -1e-12).any() or (q < -1e-12).any():
         raise CertificateError("dual weights must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
@@ -541,16 +513,6 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
 
 
 def write_certificate(path, cert: Gamma2Certificate) -> None:
-    import io
-
-    def fmt_block(mat):
-        buf = io.StringIO()
-        mm, nn = mat.shape
-        buf.write(f"{mm} {nn}\n")
-        for row in mat:
-            buf.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        return buf.getvalue()
-
     with atomic_write(path) as fh:
         fh.write(f"upper={cert.upper:.17g}\n")
         fh.write(f"lower={cert.lower:.17g}\n")
@@ -564,7 +526,7 @@ def write_certificate(path, cert: Gamma2Certificate) -> None:
             ("q", cert.dual_q.reshape(-1, 1)),
         ):
             fh.write(f"# {name}\n")
-            fh.write(fmt_block(np.asarray(mat, dtype=float)))
+            fh.write(format_matrix(mat))
 
 
 def read_certificate(path) -> Gamma2Certificate:
@@ -588,15 +550,9 @@ def read_certificate(path) -> Gamma2Certificate:
                 current.append(line)
 
     def parse_block(name):
-        lines = sections.get(name)
-        if not lines:
+        if not sections.get(name):
             raise ValueError(f"certificate file missing section {name!r}")
-        mm, nn = (int(x) for x in lines[0].split())
-        rows = [[float(x) for x in ln.split()] for ln in lines[1 : 1 + mm]]
-        mat = np.array(rows, dtype=float)
-        if mat.shape != (mm, nn):
-            raise ValueError(f"section {name!r} shape mismatch")
-        return mat
+        return parse_matrix(sections[name])[0]
 
     for key in ("upper", "lower", "gap"):
         if key not in header:

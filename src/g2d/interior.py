@@ -28,9 +28,10 @@ nu / theta.
 
 The solve stops after the first stage that meets either of two rules:
 
-* the certified stop: W = M^{-1}, rescaled so that every point fits,
-  certifies an upper bound on sqrt(t*) of at most the caller's
-  ``target`` (the same certification the gamma_2 solver applies);
+* the certified stop: ``ellipsoid.certify`` of W = M^{-1}, which
+  rescales W so that every point fits, gives an upper bound on sqrt(t*)
+  of at most the caller's ``target`` (the gamma_2 solver certifies the
+  returned W the same way);
 * the barrier stop: nu / theta < tol * t, which alone applies when
   ``target`` is 0.
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ellipsoid import _certified_value
+from .ellipsoid import certify
 
 _SQ2 = np.sqrt(2.0)
 
@@ -116,8 +117,8 @@ def minimum_height_ellipsoid(
     the certified objective value is sqrt(t) and max(diag(W)) ~ t.
     ``tol`` is the relative duality-gap target on t. A positive
     ``target`` ends the solve after the first barrier stage whose W
-    certifies an upper bound (``_certified_value``, on the scale of
-    sqrt(t)) of at most ``target``.
+    certifies an upper bound (``certify``, on the scale of sqrt(t)) of
+    at most ``target``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -224,7 +225,7 @@ def minimum_height_ellipsoid(
             if not accepted:
                 break  # at the numerical floor for this stage
             m_mat, t, pp = m_try, t_try, pp_new
-        if target > 0.0 and _certified_value(pts, pp[0])[0] <= target:
+        if target > 0.0 and certify(pts, pp[0])[0] <= target:
             break
         if nu / theta < tol * max(abs(t), 1.0):
             break

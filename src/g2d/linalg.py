@@ -121,20 +121,20 @@ def determinant(a) -> float:
     return float(np.linalg.det(a))
 
 
-def psd_project(s, *, sym_rtol: float = SYM_RTOL) -> np.ndarray:
+def psd_project(s) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix to symmetric s.
 
     Symmetrizes first; refuses input whose asymmetry exceeds
-    ``sym_rtol * ||s||_F``. Eigenvalues are clipped at zero.
+    ``SYM_RTOL * ||s||_F``. Eigenvalues are clipped at zero.
     """
     s = as_matrix(s, name="s")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"psd_project needs a square matrix, got {s.shape}")
     fro = np.linalg.norm(s)
     asym = np.linalg.norm(s - s.T)
-    if asym > sym_rtol * max(fro, 1e-300):
+    if asym > SYM_RTOL * max(fro, 1e-300):
         raise ValueError(
-            f"input asymmetry {asym:.3e} exceeds {sym_rtol:.1e} * ||s||_F"
+            f"input asymmetry {asym:.3e} exceeds {SYM_RTOL:.1e} * ||s||_F"
         )
     sym = 0.5 * (s + s.T)
     w, v = np.linalg.eigh(sym)
@@ -254,18 +254,22 @@ def atomic_write(path):
         raise
 
 
+def format_matrix(a) -> str:
+    """The "m n" line and the rows of a, one line each."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    return f"{m} {n}\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in a)
+
+
 def write_matrix(path, a, *, comments: list[str] | None = None) -> None:
     a = as_matrix(a)
-    m, n = a.shape
-    lines = []
-    for c in comments or []:
-        for piece in str(c).splitlines() or [""]:
-            lines.append(f"# {piece}".rstrip())
-    lines.append(f"{m} {n}")
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    head = "".join(
+        f"# {piece}".rstrip() + "\n"
+        for c in comments or []
+        for piece in str(c).splitlines() or [""]
+    )
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + format_matrix(a))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -275,27 +279,33 @@ def read_matrix(path) -> np.ndarray:
 
 def read_matrix_with_comments(path) -> tuple[np.ndarray, list[str]]:
     """Read the matrix plus the leading comment block (without '#')."""
+    with open(path) as fh:
+        return parse_matrix(fh)
+
+
+def parse_matrix(lines) -> tuple[np.ndarray, list[str]]:
+    """The matrix in an iterable of text lines, plus the leading comment
+    block (without '#')."""
     comments: list[str] = []
     rows: list[list[float]] = []
     header: tuple[int, int] | None = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None:
-                    comments.append(line[1:].strip())
-                continue
-            parts = line.split()
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
             if header is None:
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"expected header 'm n', got {line!r}"
-                    )
-                header = (int(parts[0]), int(parts[1]))
-                continue
-            rows.append([float(x) for x in parts])
+                comments.append(line[1:].strip())
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ValueError(
+                    f"expected header 'm n', got {line!r}"
+                )
+            header = (int(parts[0]), int(parts[1]))
+            continue
+        rows.append([float(x) for x in parts])
     if header is None:
         raise ValueError("empty matrix file")
     m, n = header

@@ -30,6 +30,7 @@ from .linalg import (
     RefusedError,
     as_matrix,
     atomic_write,
+    parse_matrix,
     tn_matrix,
     tn_singular_values_closed_form,
     write_matrix,
@@ -48,7 +49,6 @@ from .setsystems import (
     arithmetic_progressions,
     grid_anchored,
     maximal_aps,
-    read_set_system,
     subcubes,
 )
 
@@ -437,12 +437,11 @@ def _load_matrix(source) -> np.ndarray:
     if isinstance(source, SetSystem):
         return source.incidence
     if isinstance(source, (str, os.PathLike)):
-        text = open(source).read()
-        if "# labels:" in text:
-            return read_set_system(source).incidence
-        from .linalg import read_matrix
-
-        return read_matrix(source)
+        with open(source) as fh:
+            text = fh.read()
+        a, _ = parse_matrix(text.splitlines())
+        # a set-system file must hold a 0/1 incidence matrix
+        return SetSystem(a).incidence if "# labels:" in text else a
     return as_matrix(source)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import KRON_ENTRY_CAP, RefusedError, as_matrix, kron, tn_matrix
+from .linalg import RefusedError, as_matrix, kron, tn_matrix
 
 # Largest ground-set size any constructor here will touch.
 GROUND_CAP = 4096
@@ -92,7 +92,7 @@ def initial_segments(n: int) -> SetSystem:
     return SetSystem(tn_matrix(n), labels)
 
 
-def grid_anchored(d: int, n: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
+def grid_anchored(d: int, n: int) -> SetSystem:
     """Anchored boxes in the d-dimensional n x ... x n grid.
 
     The incidence matrix is the d-fold Kronecker power of T_n; rows and
@@ -107,14 +107,14 @@ def grid_anchored(d: int, n: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSy
         raise RefusedError(f"ground size {n**d} exceeds cap {GROUND_CAP}")
     inc = tn_matrix(n)
     for _ in range(d - 1):
-        inc = kron(inc, tn_matrix(n), max_entries=max_entries)
+        inc = kron(inc, tn_matrix(n))
     return SetSystem(inc)
 
 
 _SUBCUBE_BASE = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def subcubes(d: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
+def subcubes(d: int) -> SetSystem:
     """Subcubes of the Boolean cube {0,1}^d.
 
     A subcube fixes some coordinates and frees the rest; per coordinate
@@ -128,7 +128,7 @@ def subcubes(d: int, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
         raise RefusedError(f"ground size {2**d} exceeds cap {GROUND_CAP}")
     inc = _SUBCUBE_BASE
     for _ in range(d - 1):
-        inc = kron(inc, _SUBCUBE_BASE, max_entries=max_entries)
+        inc = kron(inc, _SUBCUBE_BASE)
     return SetSystem(inc)
 
 
@@ -279,14 +279,14 @@ def union(f: SetSystem, g: SetSystem) -> SetSystem:
     return SetSystem(inc, labs)
 
 
-def product(f: SetSystem, g: SetSystem, *, max_entries: int = KRON_ENTRY_CAP) -> SetSystem:
+def product(f: SetSystem, g: SetSystem) -> SetSystem:
     """Product system: sets F x G on ground set [m] x [n] (Kronecker)."""
     if f.ground_size * g.ground_size > GROUND_CAP:
         raise RefusedError(
             f"product ground size {f.ground_size * g.ground_size} "
             f"exceeds cap {GROUND_CAP}"
         )
-    inc = kron(f.incidence, g.incidence, max_entries=max_entries)
+    inc = kron(f.incidence, g.incidence)
     inc, _ = _dedup_rows(inc, None)
     return SetSystem(inc)
 

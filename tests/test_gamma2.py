@@ -8,6 +8,7 @@ import pytest
 from g2d.ellipsoid import (
     Ellipsoid,
     block_diag_ellipsoid,
+    certify,
     ellipsoid_contains,
     ellipsoid_inf_norm,
     ellipsoid_sum,
@@ -308,6 +309,30 @@ def test_certificate_checker_rejects_swapped_weights_and_transpose(tamper):
         check_certificate(bad, mat)
 
 
+def _with_nan(arr):
+    arr = arr.copy()
+    arr.flat[0] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize(
+    "a, tamper",
+    [
+        (tn_matrix(8), lambda c: dataclasses.replace(c, dual_p=_with_nan(c.dual_p))),
+        (tn_matrix(8), lambda c: dataclasses.replace(c, factor_left=_with_nan(c.factor_left))),
+        (C1, lambda c: dataclasses.replace(c, dual_p=np.append(c.dual_p, 0.0))),
+        (C1, lambda c: dataclasses.replace(c, dual_q=np.append(c.dual_q, 0.0))),
+    ],
+    ids=["p_nan", "B_nan", "p_too_long", "q_too_long"],
+)
+def test_certificate_checker_rejects_malformed_parts(a, tamper):
+    # a NaN or a wrong weight length is a bad certificate, not a crash
+    # of the checker's arithmetic: it raises CertificateError
+    bad = tamper(gamma2(a))
+    with pytest.raises(CertificateError):
+        check_certificate(bad, a)
+
+
 def test_gamma2_refuses_oversized_ellipsoid():
     # 6325^2 entries are over KRON_ENTRY_CAP; refused before any solve
     with pytest.raises(RefusedError):
@@ -462,3 +487,22 @@ def test_block_diag_ellipsoid_degenerate_part():
     assert got.dim == 3
     assert np.max(np.abs(got.d[:2, :2] - d)) < 1e-12
     assert abs(ellipsoid_inf_norm(got) - ellipsoid_inf_norm(Ellipsoid(d))) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_certify_gives_one_consistent_certificate(d):
+    # random PSD shapes of every rank 1..d against random A: D contains
+    # every column, max diag D = value^2, and B C = A with D = value B B^T
+    rng = np.random.default_rng(500 + d)
+    for rank in range(1, d + 1):
+        g = rng.standard_normal((d, rank))
+        a = rng.standard_normal((d, int(rng.integers(1, 9))))
+        value, dmat, b, c = certify(a, g @ g.T)
+        assert np.linalg.norm(b @ c - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(value * (b @ b.T) - dmat) <= 1e-12 * np.linalg.norm(dmat)
+        assert abs(np.max(np.diag(dmat)) - value**2) <= 1e-12 * value**2
+        ell = Ellipsoid(dmat)
+        assert max(membership_value(ell, a[:, j]) for j in range(a.shape[1])) <= 1.0 + 1e-9
+        bound = np.sqrt(value) * (1.0 + 1e-12)
+        assert np.sqrt((b * b).sum(axis=1)).max() <= bound
+        assert np.sqrt((c * c).sum(axis=0)).max() <= bound

@@ -1,14 +1,17 @@
 """Report suite: figure data, dumps, audits, CSV determinism."""
 
 import dataclasses
+import gc
+import warnings
 
 import numpy as np
 import pytest
 
 from g2d.gamma2 import check_certificate, gamma2, read_certificate, write_certificate
-from g2d.linalg import nuclear_norm, read_matrix, tn_matrix
+from g2d.linalg import nuclear_norm, read_matrix, tn_matrix, write_matrix
 from g2d.reports import (
     ReportRow,
+    _load_matrix,
     ap_report,
     audit,
     ellipsoid_dump,
@@ -215,3 +218,19 @@ def test_interrupted_write_keeps_old_file(tmp_path, bad_write, error):
         bad_write(str(path))
     assert path.read_text() == "old content\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: write_matrix(path, tn_matrix(3)), lambda path: write_set_system(path, power_set(2))],
+    ids=["matrix", "set_system"],
+)
+def test_load_matrix_closes_its_file(tmp_path, write):
+    path = str(tmp_path / "in.txt")
+    write(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        a = _load_matrix(path)
+        gc.collect()
+    assert a.shape in ((3, 3), (4, 2))
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
