@@ -15,8 +15,8 @@ Subcommands mirror the report suite and the exact oracles:
     g2d oracle detlb2 --in matrix.txt --kmax 4
     g2d oracle discp --in matrix.txt --p 2 [--weights w.txt]
 
-Global flags (give them after the subcommand): --tol, --seed (accepted
-and ignored), --budget-minutes. Exit codes: 0 success, 2 assertion or
+Global flags (give them after the subcommand): --tol and
+--budget-minutes. Exit codes: 0 success, 2 assertion or
 validation failure, 3 refusal: a RefusedError (an input over a size cap
 or an enumeration budget) or an expired budget.
 
@@ -116,8 +116,6 @@ def _read_weights(path: str) -> np.ndarray:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                      help="relative gap tolerance (default 1e-4)")
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="accepted and ignored: the solver makes no random choices")
     sub.add_argument("--budget-minutes", type=float, default=argparse.SUPPRESS,
                      help="hard wall-clock budget; exceeding it exits 3")
 

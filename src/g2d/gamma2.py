@@ -43,11 +43,11 @@ The solve path:
    winner is transposed into B, C and D for A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
    smaller side, only while the certified gap exceeds the requested
-   tolerance and that side is small enough. It stops after the first
-   barrier stage whose ellipsoid certifies an upper bound of at most
-   lower / (1 - tol), which closes the gap, and otherwise runs to a
-   barrier gap far below tol. Its ellipsoid goes through ``certify``
-   like every other candidate and wins only if its value is lower.
+   tolerance and that side is small enough. It certifies the ellipsoid
+   of each barrier stage once and stops after the first whose value is
+   at most lower / (1 - tol), which closes the gap, or at its barrier
+   stop. It returns the ``certify`` result of the stage it stopped on,
+   which is one more candidate and wins only if its value is lower.
 
 The path makes no random choices: a matrix always gets the same
 certificate.
@@ -287,14 +287,13 @@ def gamma2_upper(
     # lower / (1 - tol); any lower >= 0 meets tol >= 1
     target = lower / (1.0 - tol) if tol < 1.0 else np.inf
 
-    # interior-point refinement on the small side; it stops after the
-    # first barrier stage whose ellipsoid certifies the target, and
-    # otherwise runs to a barrier gap far below tol
+    # interior-point refinement on the small side; it returns the
+    # certificate of the first barrier stage that meets the target, or
+    # of its last stage
     if best[0] > target and min(m, n) <= IP_SIDE_CAP:
         pts = a if m <= n else a.T
         try:
-            _, w = minimum_height_ellipsoid(pts, tol=min(tol, 1e-9) * 0.01, target=target)
-            refined = certify(pts, w)
+            refined = minimum_height_ellipsoid(pts, target=target)
             if refined[0] < best[0]:
                 best, side_t = refined, m > n
         except (InteriorPointError, np.linalg.LinAlgError):

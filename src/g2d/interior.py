@@ -26,20 +26,24 @@ geometric theta schedule. The barrier parameter is
 nu = d(d+1) + #points, so the duality gap after a stage is at most
 nu / theta.
 
-The solve stops after the first stage that meets either of two rules:
+A stage ends when the Newton decrement falls below 1e-11 or at the
+numerical floor: no step passes the line search, or an accepted step
+moves M by at most FLOOR_RTOL relative in Frobenius norm.
+``ellipsoid.certify`` then turns the stage's W = M^{-1} into its
+certificate (value, D, B, C). The solve returns the certificate of the
+first stage that meets either of two rules:
 
-* the certified stop: ``ellipsoid.certify`` of W = M^{-1}, which
-  rescales W so that every point fits, gives an upper bound on sqrt(t*)
-  of at most the caller's ``target`` (the gamma_2 solver certifies the
-  returned W the same way);
-* the barrier stop: nu / theta < tol * t, which alone applies when
-  ``target`` is 0.
+* the certified stop: the certified value is at most the caller's
+  ``target``;
+* the barrier stop: nu / theta < BARRIER_RTOL * t, which alone applies
+  when ``target`` is 0.
 
 Each Newton step assembles the svec Hessian of the log-det terms in one
 call, sym_kron(W, d W + W diag(2/r) W), gathered from the rows and
-columns of its two factors, so no d^4 tensor is built. The line search
-computes the barrier pieces of each trial point, and the accepted point
-passes them on to the next step.
+columns of its two factors, so no d^4 tensor is built, and solves the
+Newton system with one ``np.linalg.solve``. The line search computes
+the barrier pieces of each trial point, and the accepted point passes
+them on to the next step.
 
 Dimension guidance: the Newton system is dense of order d(d+1)/2 + 1,
 so this is intended for the small side of the input (d up to a few
@@ -99,26 +103,27 @@ class InteriorPointError(RuntimeError):
 
 # Barrier schedule: theta grows by THETA_MULT after each stage; a stage
 # takes at most MAX_NEWTON_PER_STAGE Newton steps, the solve at most
-# MAX_STAGES stages.
+# MAX_STAGES stages. BARRIER_RTOL and FLOOR_RTOL set the stops above.
 THETA_MULT = 8.0
 MAX_NEWTON_PER_STAGE = 60
 MAX_STAGES = 40
+BARRIER_RTOL = 1e-11
+FLOOR_RTOL = 1e-13
 
 
 def minimum_height_ellipsoid(
     points: np.ndarray,
     *,
-    tol: float = 1e-9,
     target: float = 0.0,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the program above for a d x N array of points (columns).
 
-    Returns (t, W) with W = M^{-1} the optimal dual ellipsoid matrix;
-    the certified objective value is sqrt(t) and max(diag(W)) ~ t.
-    ``tol`` is the relative duality-gap target on t. A positive
-    ``target`` ends the solve after the first barrier stage whose W
-    certifies an upper bound (``certify``, on the scale of sqrt(t)) of
-    at most ``target``.
+    Returns ``certify(points, W)``, that is (value, D, B, C), for the
+    W = M^{-1} of the stage the solve stopped on: value >= sqrt(t*)
+    bounds gamma_2 of the points from above, E(D) holds every point and
+    B C = points. A positive ``target`` ends the solve after the first
+    barrier stage whose value is at most ``target``; otherwise it runs
+    to the barrier stop.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -135,8 +140,8 @@ def minimum_height_ellipsoid(
     sq_norms = (aj * aj).sum(axis=1)
     smax = float(sq_norms.max())
     if smax == 0.0:
-        # all points at the origin: any tiny ellipsoid works
-        return 0.0, np.zeros((d, d))
+        # all points at the origin: certify's zero certificate
+        return 0.0, np.zeros((d, d)), np.zeros((d, 1)), np.zeros((1, n))
 
     # strictly feasible start
     m_mat = np.eye(d) / (smax + 1.0)
@@ -197,12 +202,8 @@ def minimum_height_ellipsoid(
             h[dim, :dim] = hcross
             h[dim, dim] = float(np.sum(1.0 / r**2))
 
-            jitter = 1e-13 * np.trace(h) / (dim + 1)
-            try:
-                chol = np.linalg.cholesky(h + jitter * np.eye(dim + 1))
-            except np.linalg.LinAlgError:
-                chol = np.linalg.cholesky(h + 1e8 * jitter * np.eye(dim + 1))
-            delta = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+            h[np.diag_indices(dim + 1)] += 1e-13 * np.trace(h) / (dim + 1)
+            delta = -np.linalg.solve(h, g)
             decrement = float(-g @ delta)
             if decrement < 1e-11:
                 break
@@ -212,22 +213,22 @@ def minimum_height_ellipsoid(
             # damped Newton: full steps only inside the quadratic
             # convergence region, 1 / (1 + lambda) otherwise, then
             # Armijo backtracking on the barrier objective
-            lam = np.sqrt(max(decrement, 0.0))
+            lam = np.sqrt(decrement)
             step = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-            accepted = False
             while step > 1e-14:
                 m_try, t_try = m_mat + step * dm, t + step * dt
                 pp_new = parts(m_try, t_try)
                 if pp_new is not None and objective(theta, t_try, pp_new[3]) <= f_cur - 0.25 * step * decrement:
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
-                break  # at the numerical floor for this stage
+            else:
+                break  # no step passes: at the numerical floor
+            floor = step * np.linalg.norm(dm) <= FLOOR_RTOL * np.linalg.norm(m_mat)
             m_mat, t, pp = m_try, t_try, pp_new
-        if target > 0.0 and certify(pts, pp[0])[0] <= target:
-            break
-        if nu / theta < tol * max(abs(t), 1.0):
+            if floor:
+                break
+        cert = certify(pts, pp[0])
+        if cert[0] <= target or nu / theta < BARRIER_RTOL * max(abs(t), 1.0):
             break
         theta *= THETA_MULT
-    return float(t), pp[0]
+    return cert

@@ -188,9 +188,16 @@ def test_budget_flag_accepted(tmp_path, capsys):
 def test_seed_determinism_via_cli(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert main(["ap", "--ns", "4", "--out", str(out1), "--seed", "3"]) == 0
-    assert main(["ap", "--ns", "4", "--out", str(out2), "--seed", "3"]) == 0
+    assert main(["ap", "--ns", "4", "--out", str(out1)]) == 0
+    assert main(["ap", "--ns", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_seed_flag_is_a_usage_error(capsys):
+    # the solver makes no random choices, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["ap", "--ns", "4", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_package_import_is_serial_and_numpy_only():

@@ -389,12 +389,12 @@ def test_lift_only_path_matches_default():
 def test_interior_point_cross_check():
     for n in (3, 5, 8):
         t = tn_matrix(n)
-        height, w = minimum_height_ellipsoid(t, tol=1e-10)
+        value, d, _, _ = minimum_height_ellipsoid(t)
         ref = gamma2(t).upper
-        assert abs(np.sqrt(height) - ref) <= 1e-5 * ref
-        # W is the dual ellipsoid: every column fits, max diag ~ t
-        assert abs(np.max(np.diag(w)) - height) <= 1e-6 * height
-        ell = Ellipsoid(w * (1.0 + 1e-9))
+        assert abs(value - ref) <= 1e-5 * ref
+        # D is the certified ellipsoid: every column fits, max diag = value^2
+        assert abs(np.max(np.diag(d)) - value**2) <= 1e-6 * value**2
+        ell = Ellipsoid(d * (1.0 + 1e-9))
         for j in range(n):
             assert membership_value(ell, t[:, j]) <= 1.0 + 1e-6
 

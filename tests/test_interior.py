@@ -1,14 +1,18 @@
-"""Interior-point refiner: the svec Hessian kernel and Newton-step counts."""
+"""Interior-point refiner: the svec Hessian kernel, Newton-step counts and
+the certificate it returns."""
 
 import importlib
 
 import numpy as np
 
+from g2d.ellipsoid import certify
 from g2d.gamma2 import gamma2
-from g2d.interior import svec, sym_kron
+from g2d.interior import minimum_height_ellipsoid, svec, sym_kron
+from g2d.linalg import tn_matrix
 from g2d.setsystems import arithmetic_progressions
 
 interior = importlib.import_module("g2d.interior")
+gamma2_module = importlib.import_module("g2d.gamma2")
 
 
 def _sym_kron_reference(p, q):
@@ -84,3 +88,38 @@ def test_gaussian_4x4_refiner_steps(monkeypatch):
         for mat in (a, b, a + b):
             assert gamma2(mat).converged
     assert len(calls) <= 500
+
+
+def test_refiner_stops_at_the_floor(monkeypatch):
+    # barrier-only solves: 358 Newton steps on T_8 and 489 on AP_14
+    # while stages ran on at the numerical floor
+    calls = _count_hessians(monkeypatch)
+    t8 = tn_matrix(8)
+    value = minimum_height_ellipsoid(t8)[0]
+    assert len(calls) <= 260
+    # the default tol leaves gamma2's own gap at about 7e-9 on T_8
+    assert abs(value - gamma2(t8, tol=1e-9).upper) <= 1e-9 * value
+    calls.clear()
+    minimum_height_ellipsoid(arithmetic_progressions(14).incidence.T)
+    assert 0 < len(calls) <= 400
+
+
+def test_refiner_certifies_each_shape_once(monkeypatch):
+    shapes = []
+
+    def recording(a, shape):
+        shapes.append(np.array(shape))
+        return certify(a, shape)
+
+    monkeypatch.setattr(gamma2_module, "certify", recording)
+    monkeypatch.setattr(interior, "certify", recording)
+    gamma2(arithmetic_progressions(14).incidence.T)
+    # the four lift and trivial candidates, then one per barrier stage
+    assert len(shapes) == 10
+    for i, s in enumerate(shapes):
+        assert not any(np.array_equal(s, o) for o in shapes[:i])
+
+    value, d, b, c = minimum_height_ellipsoid(np.zeros((3, 4)))
+    assert value == 0.0
+    assert d.shape == (3, 3) and not d.any()
+    assert not (b @ c).any() and (b @ c).shape == (3, 4)
