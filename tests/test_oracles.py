@@ -1,6 +1,7 @@
 """Exhaustive discrepancy oracles and determinant lower bounds."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from g2d.gamma2 import gamma2
 from g2d.linalg import RefusedError, tn_matrix
 from g2d.oracles import (
     ColoringResult,
+    _low_vars,
     compose_bounds,
     detlb2_exact,
     detlb_bucketing,
@@ -32,6 +34,22 @@ def brute_disc(a):
         x = np.array(signs)
         best = min(best, np.max(np.abs(a @ x)))
     return best
+
+
+def reference_min_coloring(a, p=np.inf):
+    """Independent reference: evaluate every coloring with x_1 = +1 at once,
+    keep those reaching the minimum, and take the lexicographically
+    smallest (-1 < +1) by np.lexsort."""
+    m, n = a.shape
+    codes = np.arange(1 << (n - 1))
+    x = np.ones((codes.size, n))
+    x[:, 1:] = np.where((codes[:, None] >> np.arange(n - 2, -1, -1)) & 1, 1.0, -1.0)
+    v = np.empty(codes.size)
+    for lo in range(0, codes.size, 4096):
+        s = np.abs(x[lo : lo + 4096] @ a.T)
+        v[lo : lo + 4096] = s.max(axis=1) if p == np.inf else ((s**p).sum(axis=1) / m) ** (1.0 / p)
+    ties = x[v == v.min()]
+    return v.min(), ties[np.lexsort(ties.T[::-1])[0]]
 
 
 def test_disc_single_odd_row():
@@ -75,6 +93,34 @@ def test_disc_deterministic_tie_break():
     assert r1.coloring[0] == 1.0
 
 
+def test_disc_walk_matches_vectorized_reference():
+    rng = np.random.default_rng(53)
+    cases = [
+        np.ones((1, 9)),
+        np.ones((3, 12)),
+        power_set(4).incidence,
+        tn_matrix(7),
+        tn_matrix(10),
+        random_binary(rng, 6, 11),
+        rng.integers(-3, 4, size=(5, 10)).astype(float),
+        # several high blocks: m = 20 keeps k below n - 1
+        random_binary(rng, 20, 18),
+        # tall: k shrinks to 3
+        rng.integers(-1, 2, size=(5000, 8)).astype(float),
+    ]
+    assert _low_vars(20, 17) < 17 and _low_vars(5000, 7) == 3
+    for a in cases:
+        res = disc_exact(a)
+        want_v, want_x = reference_min_coloring(a)
+        assert res.value == want_v
+        assert np.array_equal(res.coloring, want_x)
+        for p in (2.0, np.inf):
+            res_p = disc_p_exact(a, p)
+            want_v, want_x = reference_min_coloring(a, p)
+            assert res_p.value == want_v
+            assert np.array_equal(res_p.coloring, want_x)
+
+
 def test_disc_recompute_and_caps():
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     res = disc_exact(a)
@@ -101,6 +147,23 @@ def test_herdisc_subcubes2_consistency():
     grain = np.log2(2.0 * m)
     assert v >= cert.lower / grain - 1e-9
     assert v <= cert.upper * np.sqrt(grain) + 1e-9
+
+
+def test_herdisc_matches_subset_brute_force():
+    rng = np.random.default_rng(54)
+    mats = [random_binary(rng, 4, 6) for _ in range(4)]
+    mats += [rng.integers(-2, 3, size=(4, 6)).astype(float) for _ in range(4)]
+    # rows repeated 500 times: k = 4 low variables, so the larger subsets
+    # walk several blocks and the early stop is exercised
+    mats += [np.tile(tn_matrix(7), (500, 1)), np.tile(random_binary(rng, 8, 7), (500, 1))]
+    for a in mats:
+        n = a.shape[1]
+        want = max(
+            brute_disc(a[:, list(cols)])
+            for k in range(1, n + 1)
+            for cols in itertools.combinations(range(n), k)
+        )
+        assert herdisc_exact(a) == want
 
 
 def test_herdisc_monotone():
@@ -168,6 +231,16 @@ def test_disc_p_weighted_infinity_drops_zero_rows():
     assert res2.value == 0.0
 
 
+def test_disc_p_weighted_infinity_recompute():
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    res = disc_p_exact(a, np.inf, w=[1.0, 0.0, 2.0])
+    assert res.value == 0.0
+    assert res.recompute(a) == 0.0
+    b = np.vstack([a, np.ones(3)])
+    res = disc_p_exact(b, np.inf, w=[1.0, 0.0, 0.0, 1.0])
+    assert res.recompute(b) == res.value == 1.0
+
+
 def test_disc_p_validation():
     a = np.ones((2, 3))
     with pytest.raises(ValueError):
@@ -202,6 +275,18 @@ def test_detlb_matches_brute_force():
                     sub = a[np.ix_(rows, cols)]
                     best = max(best, abs(np.linalg.det(sub)) ** (1.0 / k))
         assert abs(detlb_exact(a, 3) - best) < 1e-9 * max(best, 1.0)
+
+
+def test_detlb_memory_is_chunked():
+    a = random_binary(np.random.default_rng(55), 4, 40)
+    tracemalloc.start()
+    try:
+        detlb_exact(a, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one unchunked stack of all C(40, 4) = 91390 submatrices peaks near 25 MB
+    assert peak < 4 * 2**20
 
 
 def test_detlb_budget_refusal():
