@@ -36,6 +36,7 @@ from math import inf
 import numpy as np
 
 from .gamma2 import (
+    DEFAULT_TOL,
     CertificateError,
     gamma2,
     write_certificate,
@@ -115,7 +116,7 @@ def _read_weights(path: str) -> np.ndarray:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                     help="relative gap tolerance (default 1e-4)")
+                     help=f"relative gap tolerance, a number >= 0 (default {DEFAULT_TOL:g})")
     sub.add_argument("--budget-minutes", type=float, default=argparse.SUPPRESS,
                      help="hard wall-clock budget; exceeding it exits 3")
 
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    tol = getattr(args, "tol", 1e-4)
+    tol = getattr(args, "tol", DEFAULT_TOL)
 
     if args.command == "tn-figure":
         rows = tn_figure(

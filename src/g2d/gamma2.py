@@ -27,9 +27,9 @@ Every routine here returns certified quantities:
 The solve path:
 
 1. split A into the connected components of its row-column support
-   graph; gamma_2 of a block-diagonal matrix is the max over its
-   blocks, so each block is solved alone and the certificates are
-   assembled block-diagonally;
+   graph, one block if A is connected; gamma_2 of a block-diagonal
+   matrix is the max over its blocks, so each block runs steps 2-4
+   alone and one assembly builds the certificate of A;
 2. dual ascent for (p, q) from uniform weights: monotone alternating
    maximization of the variational form
    ||M||_* = max_{||Z||_2 <= 1} <M, Z>, one SVD per step;
@@ -113,8 +113,8 @@ class Gamma2Certificate:
         max row norm of B and max column norm of C both <= sqrt(upper)
         up to tolerance.
     dual_p/dual_q: the probability weights certifying ``lower``.
-    gap: upper - lower.
-    converged: whether gap <= tol * upper was reached within budget.
+    converged: whether upper <= lower / (1 - tol) was reached.
+    gap: the property upper - lower.
     """
 
     upper: float
@@ -124,8 +124,11 @@ class Gamma2Certificate:
     factor_right: np.ndarray
     dual_p: np.ndarray
     dual_q: np.ndarray
-    gap: float
     converged: bool
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
 
 
 def dual_value(a, p, q) -> float:
@@ -229,9 +232,20 @@ def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
         factor_right=np.zeros((1, n)),
         dual_p=np.full(m, 1.0 / m),
         dual_q=np.full(n, 1.0 / n),
-        gap=0.0,
         converged=True,
     )
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
+
+
+def _target(lower: float, tol: float) -> float:
+    """The largest upper bound within tol of ``lower``: upper - lower <=
+    tol * upper exactly when upper <= lower / (1 - tol); any lower >= 0
+    meets tol >= 1."""
+    return lower / (1.0 - tol) if tol < 1.0 else np.inf
 
 
 def _check_ellipsoid_cap(m: int) -> None:
@@ -247,24 +261,24 @@ def gamma2_upper(
     *,
     tol: float = DEFAULT_TOL,
     dual: tuple[float, np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, Ellipsoid, np.ndarray, np.ndarray, bool]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
     """Certified upper bound on gamma_2(a).
 
-    Returns (value, ellipsoid, B, C, converged): the ellipsoid contains
-    every column of ``a`` and has max diagonal = value^2; A = B C with
-    balanced norm bounds. ``converged`` is False when the certified gap
-    against the best known lower bound still exceeds ``tol`` after the
-    refiner (the value is still a valid upper bound).
+    Returns (value, D, B, C, converged), as ``certify`` does plus the
+    flag: E(D) contains every column of ``a`` and max diag(D) = value^2;
+    A = B C with balanced norm bounds. ``converged`` is False when value
+    is above lower / (1 - tol), with ``tol`` >= 0, after the refiner (the
+    value is still a valid upper bound).
 
     ``dual`` may carry a precomputed (value, p, q) triple to avoid
     re-running the dual ascent.
     """
     a = as_matrix(a)
     m, n = a.shape
+    _check_tol(tol)
     _check_ellipsoid_cap(m)
     if float(np.abs(a).max()) == 0.0:
-        c = _zero_certificate(m, n)
-        return 0.0, c.ellipsoid, c.factor_left, c.factor_right, True
+        return 0.0, np.zeros((m, m)), np.zeros((m, 1)), np.zeros((1, n)), True
 
     if dual is None:
         dual = gamma2_lower_dual(a)
@@ -282,10 +296,7 @@ def gamma2_upper(
         ],
         key=lambda cand: cand[0][0],
     )
-
-    # the gap is within tol exactly when the upper bound is at most
-    # lower / (1 - tol); any lower >= 0 meets tol >= 1
-    target = lower / (1.0 - tol) if tol < 1.0 else np.inf
+    target = _target(lower, tol)
 
     # interior-point refinement on the small side; it returns the
     # certificate of the first barrier stage that meets the target, or
@@ -303,7 +314,7 @@ def gamma2_upper(
     if side_t:
         b, c = c.T, b.T
         d = value * (b @ b.T)
-    return float(value), Ellipsoid(d), b, c, value <= target
+    return float(value), d, b, c, value <= target
 
 
 def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -327,67 +338,43 @@ def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _solve_block(a: np.ndarray, tol: float) -> Gamma2Certificate:
-    """Dual ascent, then the upper-bound stack seeded with its weights."""
-    lower, p, q = gamma2_lower_dual(a)
-    upper, ell, b, c, converged = gamma2_upper(a, tol=tol, dual=(lower, p, q))
-    # weak duality must hold between certified quantities
-    if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
-        raise CertificateError(
-            f"certified lower {lower} exceeds certified upper {upper}"
-        )
-    lower = min(lower, upper)  # guard fp-rounding at closed gaps
-    return Gamma2Certificate(
-        upper=float(upper),
-        lower=float(lower),
-        ellipsoid=ell,
-        factor_left=b,
-        factor_right=c,
-        dual_p=p,
-        dual_q=q,
-        gap=float(upper - lower),
-        converged=bool(converged),
-    )
-
-
 def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
-    """Certificate of A from certificates of its blocks.
+    """Certificate of A from the solved blocks.
 
-    ``parts`` holds (rows, cols, certificate of A[rows][:, cols]) for
-    blocks on disjoint rows and columns that hold every nonzero of A.
-    D and the factors are block-diagonal, as in block_diag_ellipsoid,
-    so the upper bound is the max of the blocks'. The weights are those
-    of the block with the best lower bound, zero elsewhere, and certify
-    that lower bound for A.
+    ``parts`` holds (rows, cols, (lower, p, q), (upper, D, B, C)) for
+    blocks A[rows][:, cols] on disjoint rows and columns that hold
+    every nonzero of A. D and the factors are block-diagonal, as in
+    block_diag_ellipsoid, so the upper bound is the max of the blocks'.
+    The weights are those of the block with the best lower bound, zero
+    elsewhere, and certify that lower bound for A.
     """
     m, n = a.shape
-    k = sum(cert.factor_left.shape[1] for _, _, cert in parts)
+    k = sum(up[2].shape[1] for *_, up in parts)
     d = np.zeros((m, m))
     b = np.zeros((m, k))
     c = np.zeros((k, n))
     at = 0
-    for rows, cols, cert in parts:
-        width = cert.factor_left.shape[1]
-        d[np.ix_(rows, rows)] = cert.ellipsoid.d
-        b[rows, at : at + width] = cert.factor_left
-        c[at : at + width, cols] = cert.factor_right
+    for rows, cols, _, (_, dd, bb, cc) in parts:
+        width = bb.shape[1]
+        d[np.ix_(rows, rows)] = dd
+        b[rows, at : at + width] = bb
+        c[at : at + width, cols] = cc
         at += width
-    rows, cols, best = max(parts, key=lambda part: part[2].lower)
+    rows, cols, (lower, pp, qq), _ = max(parts, key=lambda part: part[2][0])
     p = np.zeros(m)
-    p[rows] = best.dual_p
+    p[rows] = pp
     q = np.zeros(n)
-    q[cols] = best.dual_q
-    upper = max(cert.upper for _, _, cert in parts)
+    q[cols] = qq
+    upper = max(up[0] for *_, up in parts)
     return Gamma2Certificate(
         upper=upper,
-        lower=best.lower,
+        lower=lower,
         ellipsoid=Ellipsoid(d),
         factor_left=b,
         factor_right=c,
         dual_p=p,
         dual_q=q,
-        gap=upper - best.lower,
-        converged=upper - best.lower <= tol * upper,
+        converged=bool(upper <= _target(lower, tol)),
     )
 
 
@@ -396,22 +383,32 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
 
     Splits A into the blocks of its row-column support graph, solves
     each block by the dual ascent and then the upper-bound stack seeded
-    with its weights, and re-validates the assembled certificate before
-    returning it. gamma_2 of a block-diagonal matrix is the max over its
-    blocks, so each block's ascent only has to find its own optimum.
+    with its weights, and re-validates the one assembled certificate
+    before returning it. gamma_2 of a block-diagonal matrix is the max
+    over its blocks, so each block's ascent only has to find its own
+    optimum. ``tol`` >= 0 is the relative gap tolerance.
     """
     a = as_matrix(a)
     m, n = a.shape
+    _check_tol(tol)
     _check_ellipsoid_cap(m)
     if float(np.abs(a).max()) == 0.0:
         return _zero_certificate(m, n)
-    blocks = _support_blocks(a)
-    rows, cols = blocks[0]
-    if len(blocks) == 1 and rows.size == m and cols.size == n:
-        cert = _solve_block(a, tol)
-    else:
-        parts = [(r, c, _solve_block(a[np.ix_(r, c)], tol)) for r, c in blocks]
-        cert = _assemble(a, parts, tol)
+    parts = []
+    for rows, cols in _support_blocks(a):
+        # the block keeps A's memory order, on which BLAS rounding depends
+        block = np.empty_like(a, shape=(rows.size, cols.size))
+        block[...] = a[np.ix_(rows, cols)]
+        lower, p, q = gamma2_lower_dual(block)
+        upper, d, b, c, _ = gamma2_upper(block, tol=tol, dual=(lower, p, q))
+        # weak duality must hold between certified quantities
+        if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
+            raise CertificateError(
+                f"certified lower {lower} exceeds certified upper {upper}"
+            )
+        lower = min(lower, upper)  # guard fp-rounding at closed gaps
+        parts.append((rows, cols, (lower, p, q), (upper, d, b, c)))
+    cert = _assemble(a, parts, tol)
     check_certificate(cert, a)
     return cert
 
@@ -553,7 +550,7 @@ def read_certificate(path) -> Gamma2Certificate:
             raise ValueError(f"certificate file missing section {name!r}")
         return parse_matrix(sections[name])[0]
 
-    for key in ("upper", "lower", "gap"):
+    for key in ("upper", "lower"):
         if key not in header:
             raise ValueError(f"certificate file missing {key}= line")
     return Gamma2Certificate(
@@ -564,6 +561,5 @@ def read_certificate(path) -> Gamma2Certificate:
         factor_right=parse_block("C"),
         dual_p=parse_block("p").reshape(-1),
         dual_q=parse_block("q").reshape(-1),
-        gap=header["gap"],
         converged=bool(int(header.get("converged", 0.0))),
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gamma2 import (
+    DEFAULT_TOL,
     Gamma2Certificate,
     gamma2,
     uniform_nuclear_lower,
@@ -147,7 +148,7 @@ def _write_row_certificate(row: ReportRow, certs_dir: str) -> None:
 def tn_figure(
     ns,
     *,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
     out: str | None = None,
     certs_dir: str | None = None,
 ) -> list[ReportRow]:
@@ -208,7 +209,7 @@ def ellipsoid_dump(
     n: int,
     out_dir: str,
     *,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
 ) -> dict:
     """Solve T_n and write the optimal-ellipsoid matrix D and the dual
     weights p, q as matrix text files for external plotting.
@@ -274,7 +275,7 @@ def tusnady_report(
     d: int,
     n: int,
     *,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
     direct_cap: int = TUSNADY_DIRECT_CAP,
 ) -> ReportRow:
     """Anchored-box grid on [n]^d: product-rule value gamma_2(T_n)^d,
@@ -332,7 +333,7 @@ def tusnady_report(
 def subcube_report(
     d: int,
     *,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
 ) -> ReportRow:
     """Subcube system on {0,1}^d: closed-form (2/sqrt(3))^d, the direct
     solved value, their ratio, and log2(gamma_2)/d as an estimate of
@@ -363,7 +364,7 @@ def subcube_report(
 def ap_report(
     ns,
     *,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
     out: str | None = None,
     certs_dir: str | None = None,
 ) -> list[ReportRow]:
@@ -445,7 +446,7 @@ def _load_matrix(source) -> np.ndarray:
     return as_matrix(source)
 
 
-def audit(source, *, tol: float = 1e-4, k_max: int | None = None) -> BoundsReport:
+def audit(source, *, tol: float = DEFAULT_TOL, k_max: int | None = None) -> BoundsReport:
     """Full bounds report for one matrix or set-system file.
 
     Computes the certified gamma_2 interval, the determinant bounds

@@ -100,6 +100,14 @@ def test_solve_command_writes_certificate(tmp_path, capsys):
     assert "upper=" in stdout
 
 
+@pytest.mark.parametrize("tol", ["nan", "-0.5"])
+def test_solve_command_rejects_bad_tol(tmp_path, capsys, tol):
+    path = tmp_path / "t8.txt"
+    write_matrix(path, tn_matrix(8))
+    assert main(["solve", "--in", str(path), "--tol", tol]) == 2
+    assert "converged" not in capsys.readouterr().out
+
+
 def test_oracle_disc_command(tmp_path, capsys):
     path = tmp_path / "ps4.txt"
     write_set_system(path, power_set(4))

@@ -1,6 +1,7 @@
 """Factorization-norm solver: primal/dual bounds, certificates, ellipsoids."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def test_gamma2_identity():
 
 
 def test_gamma2_upper_c1():
-    value, ell, b, c, converged = gamma2_upper(C1)
+    value, d, b, c, converged = gamma2_upper(C1)
+    ell = Ellipsoid(d)
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
     assert converged
     # certificate geometry is carried by the ellipsoid
@@ -64,7 +66,8 @@ def test_gamma2_upper_c1():
 def test_gamma2_c1_transposed_side_ellipse():
     # on the 2 x 3 transposed problem the optimal dual ellipse is the
     # one whose boundary passes through (1,1), (1,0), (0,1)
-    value, ell, _, _, _ = gamma2_upper(C1.T)
+    value, d, _, _, _ = gamma2_upper(C1.T)
+    ell = Ellipsoid(d)
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
     assert np.max(np.abs(ell.d - D_STAR)) <= 2e-3
 
@@ -215,6 +218,49 @@ def test_gamma2_zero_row_and_column():
     assert np.all(cert.factor_left[0] == 0.0) and np.all(cert.factor_right[:, 0] == 0.0)
 
 
+def test_gamma2_builds_one_ellipsoid(monkeypatch):
+    # every solve, split or not, goes through one assembly, which builds
+    # the certificate's ellipsoid; no block builds its own
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+    built = []
+
+    class Counting(Ellipsoid):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(module, "Ellipsoid", Counting)
+    a = np.zeros((9, 10))
+    a[:4, :4] = tn_matrix(4)
+    a[4:7, 4:8] = 1.0
+    a[7:, 8:] = tn_matrix(2)
+    for mat in (a, tn_matrix(5)):
+        built.clear()
+        cert = gamma2(mat)
+        assert len(built) == 1 and built[0] is cert.ellipsoid
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-4, -np.inf])
+def test_gamma2_rejects_nan_and_negative_tol(tol):
+    # a NaN tol once made every comparison with the gap target false and
+    # reported converged=True
+    for a in (tn_matrix(8), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="tol"):
+            gamma2(a, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        gamma2_upper(tn_matrix(8), tol=tol)
+
+
+def test_gamma2_tol_zero_and_above_one():
+    t = tn_matrix(4)
+    loose = gamma2(t, tol=1.0)
+    assert loose.converged
+    assert gamma2(t, tol=2.5).upper == loose.upper
+    exact = gamma2(t, tol=0.0)
+    assert exact.converged == (exact.upper <= exact.lower)
+    check_certificate(exact, t)
+
+
 def test_gamma2_block_diag_is_max():
     t4 = tn_matrix(4)
     j3 = np.ones((3, 3))
@@ -256,7 +302,7 @@ def test_certificate_checker_rejects_upper_below_own_weights(lower_factor):
     cert = gamma2(a)
     upper = cert.upper * (1.0 - 9e-5)
     lower = min(cert.lower * lower_factor, upper)
-    bad = dataclasses.replace(cert, upper=upper, lower=lower, gap=upper - lower)
+    bad = dataclasses.replace(cert, upper=upper, lower=lower)
     assert dual_value(a, bad.dual_p, bad.dual_q) > bad.upper
     with pytest.raises(CertificateError, match="weights certify"):
         check_certificate(bad, a)
@@ -364,6 +410,20 @@ def test_certificate_io_round_trip(tmp_path):
     check_certificate(back, C1)
 
 
+def test_certificate_gap_is_derived_from_bounds(tmp_path):
+    cert = gamma2(tn_matrix(6))
+    path = tmp_path / "cert.txt"
+    write_certificate(path, cert)
+    lines = path.read_text().splitlines()
+    assert f"gap={cert.gap:.17g}" in lines
+    edited = [("gap=12345" if line.startswith("gap=") else line) for line in lines]
+    path.write_text("\n".join(edited) + "\n")
+    back = read_certificate(path)
+    assert back.gap == back.upper - back.lower == cert.gap
+    path.write_text("\n".join(l for l in lines if not l.startswith("gap=")) + "\n")
+    assert read_certificate(path).gap == cert.gap
+
+
 def test_factor_norms_are_balanced():
     cert = gamma2(tn_matrix(6))
     b, c = cert.factor_left, cert.factor_right
@@ -379,7 +439,8 @@ def test_lift_only_path_matches_default():
     # candidates alone
     t3 = tn_matrix(3)
     ref = gamma2(t3).upper
-    value, ell, b, c, _ = gamma2_upper(t3, tol=1.0)
+    value, d, b, c, _ = gamma2_upper(t3, tol=1.0)
+    ell = Ellipsoid(d)
     assert value >= ref - 1e-9
     assert value <= ref * (1.0 + 2e-3)
     for j in range(3):
@@ -466,8 +527,9 @@ def test_ellipsoid_sum_contains_both_column_sets():
     b = random_binary(rng, 4, 5)
     a[0, 0] = 1.0
     b[0, 0] = 1.0
-    _, ea, _, _, _ = gamma2_upper(a)
-    _, eb, _, _, _ = gamma2_upper(b)
+    _, da, _, _, _ = gamma2_upper(a)
+    _, db, _, _, _ = gamma2_upper(b)
+    ea, eb = Ellipsoid(da), Ellipsoid(db)
     s = ellipsoid_sum(ea, eb)
     for j in range(a.shape[1]):
         assert membership_value(s, a[:, j]) <= 1.0 + 1e-6
