@@ -99,17 +99,22 @@ def ellipsoid_contains(e: Ellipsoid, v, *, tol: float = 1e-9) -> bool:
     return membership_value(e, v) <= 1.0 + tol
 
 
-def membership_value(e: Ellipsoid, v) -> float:
+def membership_value(e: Ellipsoid, v) -> float | np.ndarray:
     """The quadratic form v^T D^+ v with near-null directions charged
-    at the rank cutoff (1.0 is the boundary)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    at the rank cutoff (1.0 is the boundary). For a matrix v, the array
+    of the forms of its columns, from one product with the eigenvectors."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2:
+        v = v.reshape(-1)
     lam, vec = e.spectrum()
     lmax = float(lam[-1])
     if lmax <= 0.0:
-        return np.inf if float(v @ v) > 0.0 else 0.0
-    cutoff = RANGE_RTOL * lmax
-    w = vec.T @ v
-    return float(np.sum(w * w / np.maximum(lam, cutoff)))
+        values = np.where(np.sum(v * v, axis=0) > 0.0, np.inf, 0.0)
+    else:
+        cutoff = np.maximum(lam, RANGE_RTOL * lmax)
+        w = vec.T @ v
+        values = np.sum(w * w / cutoff.reshape((-1,) + (1,) * (v.ndim - 1)), axis=0)
+    return values if v.ndim == 2 else float(values)
 
 
 def ellipsoid_sum(e1: Ellipsoid, e2: Ellipsoid) -> Ellipsoid:

@@ -16,6 +16,7 @@ from g2d.ellipsoid import (
     membership_value,
 )
 from g2d.gamma2 import (
+    DUAL_MAX_STEPS,
     CertificateError,
     check_certificate,
     dual_value,
@@ -28,6 +29,7 @@ from g2d.gamma2 import (
 )
 from g2d.interior import minimum_height_ellipsoid
 from g2d.linalg import RefusedError, nuclear_norm, tn_matrix
+from g2d.setsystems import arithmetic_progressions, maximal_aps, subcubes
 
 C1 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -122,6 +124,57 @@ def test_gamma2_lower_dual_reports_achieved_value():
         assert abs(value - dual_value(a, p, q)) < 1e-9 * max(value, 1.0)
         assert np.all(p >= -1e-15) and np.all(q >= -1e-15)
         assert abs(p.sum() - 1.0) < 1e-9 and abs(q.sum() - 1.0) < 1e-9
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_dual_ascent_svd_budget_and_simplex(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    for a in (
+        arithmetic_progressions(14).incidence.T,  # runs to the SVD budget
+        maximal_aps(24).large_difference.incidence,
+        tn_matrix(32),
+    ):
+        calls.clear()
+        value, p, q = gamma2_lower_dual(a)
+        assert 0 < len(calls) <= DUAL_MAX_STEPS
+        for w in (p, q):
+            assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        assert abs(value - dual_value(a, p, q)) <= 1e-12 * value
+
+
+def test_dual_ascent_values():
+    # the plain alternating ascent reached 2.0116422 on AP_14^T,
+    # 1.7411668201773158 on the 158x24 maximal-AP system and
+    # 1.9054457126407116 on T_32; the extrapolated one is no lower, up
+    # to float64 rounding
+    assert gamma2_lower_dual(arithmetic_progressions(14).incidence.T)[0] >= 2.0116460
+    large24 = maximal_aps(24).large_difference.incidence
+    assert gamma2_lower_dual(large24)[0] >= 1.7411668201773158
+    assert gamma2_lower_dual(tn_matrix(32))[0] >= 1.9054457126407116 * (1.0 - 1e-15)
+    # subcubes(4)^T: the plain ascent gave 1.7777777777777783, and
+    # gamma_2 = 16/9
+    value = gamma2_lower_dual(subcubes(4).incidence.T)[0]
+    assert abs(value - 1.7777777777777783) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_ap14_converges_below_plain_ascent_gap(tol):
+    # the plain ascent stopped 2e-6 below gamma_2 on AP_14^T, so no
+    # tol below that could be met
+    cert = gamma2(arithmetic_progressions(14).incidence.T, tol=tol)
+    assert cert.converged
+    assert cert.gap <= tol * cert.upper
 
 
 def test_gamma2_tn16_bracket():
@@ -292,6 +345,22 @@ def test_certificate_checker_accepts_solver_output():
     report = check_certificate(cert, a)
     assert report["factorization_residual"] <= 1e-8 * np.linalg.norm(a)
     assert report["worst_membership"] <= 1.0 + 1e-4
+
+
+@pytest.mark.parametrize(
+    "a",
+    [tn_matrix(8), arithmetic_progressions(14).incidence.T],
+    ids=["T_8", "AP_14T"],
+)
+def test_membership_of_all_columns_at_once(a):
+    cert = gamma2(a)
+    values = membership_value(cert.ellipsoid, a)
+    each = np.array([membership_value(cert.ellipsoid, a[:, j]) for j in range(a.shape[1])])
+    assert values.shape == each.shape
+    assert np.max(np.abs(values - each) / each) <= 1e-14
+    bad = dataclasses.replace(cert, ellipsoid=Ellipsoid(cert.ellipsoid.d * (1.0 - 1e-6)))
+    with pytest.raises(CertificateError, match="membership"):
+        check_certificate(bad, a)
 
 
 @pytest.mark.parametrize("lower_factor", [1.0 - 9e-5, 1.0])

@@ -67,13 +67,36 @@ def _count_hessians(monkeypatch):
     return calls
 
 
-def test_ap14_refiner_stops_on_certified_gap(monkeypatch):
+# a + b of criterion 8's first pair: the default gamma2 runs the
+# refiner on it (on AP_14^T the ascent's lift closes the gap alone)
+PAIR0_SUM = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [1.0, 1.0, 2.0, 1.0],
+        [1.0, 0.0, 2.0, 2.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [2.0, 2.0, 1.0, 1.0],
+        [1.0, 2.0, 1.0, 1.0],
+    ]
+)
+
+
+def test_refiner_stops_on_certified_gap(monkeypatch):
+    calls = _count_hessians(monkeypatch)
+    cert = gamma2(PAIR0_SUM)
+    # 157 Newton steps when the refiner runs to its barrier stop
+    assert 0 < len(calls) <= 62
+    assert cert.converged
+
+
+def test_ap14_converges_without_refiner(monkeypatch):
     calls = _count_hessians(monkeypatch)
     a = arithmetic_progressions(14).incidence.T  # the small side first
     assert a.shape == (14, 242)
     cert = gamma2(a)
-    # about 490 Newton steps when the refiner ran to a 1e-11 barrier gap
-    assert 0 < len(calls) <= 160
+    # 129 Newton steps when the plain ascent's lift left a gap above tol
+    assert len(calls) == 0
     assert cert.converged
 
 
@@ -113,9 +136,9 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(gamma2_module, "certify", recording)
     monkeypatch.setattr(interior, "certify", recording)
-    gamma2(arithmetic_progressions(14).incidence.T)
+    gamma2(PAIR0_SUM)
     # the four lift and trivial candidates, then one per barrier stage
-    assert len(shapes) == 10
+    assert len(shapes) == 9
     for i, s in enumerate(shapes):
         assert not any(np.array_equal(s, o) for o in shapes[:i])
 
