@@ -36,7 +36,11 @@ The solve path:
    where each closed-form step is followed by a geometric extrapolation
    along the previous step that is kept only when it does not lower the
    value, and whose exponent resets when it is rejected; one SVD per
-   point tried, at most DUAL_MAX_STEPS in all;
+   point tried, at most DUAL_MAX_STEPS in all. At each such restart the
+   ascent lifts its best weights on the small side as in step 3 and
+   certifies that shape, one more SVD and one eigendecomposition on top
+   of DUAL_MAX_STEPS; it stops once that upper bound is within ``tol``
+   of its value, so step 3 then meets the gap and step 4 does not run;
 3. a closed-form primal lift of the dual weights (the first-order
    conditions pair an optimal (p, q) with the optimal ellipsoid
    P^{-1/2} U Sigma U^T P^{-1/2}), on the row and the column side,
@@ -59,6 +63,7 @@ certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,22 +171,20 @@ def uniform_nuclear_lower(a) -> float:
 
 def _unit(v: np.ndarray) -> np.ndarray | None:
     """v / ||v||_2, or None when v is zero or not finite."""
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v @ v)
     return v / norm if 0.0 < norm < np.inf else None
 
 
 def _extrapolate(f: np.ndarray, f_prev: np.ndarray, beta: float) -> np.ndarray | None:
     """The unit vector f o (f / f_prev)^beta on the entries positive in
     both, f elsewhere: the geometric step keeps every weight positive
-    that f keeps positive."""
+    that f keeps positive. The caller ignores the floating-point errors
+    of the discarded entries."""
     both = (f > 0.0) & (f_prev > 0.0)
-    e = f.copy()
-    with np.errstate(over="ignore"):
-        e[both] = f[both] * (f[both] / f_prev[both]) ** beta
-    return _unit(e)
+    return _unit(np.where(both, f * (f / f_prev) ** beta, f))
 
 
-def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
+def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual lower bound by extrapolated block-coordinate ascent on
     (Z, p, q).
 
@@ -203,10 +206,20 @@ def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
 
     The ascent makes at most DUAL_MAX_STEPS SVDs, and stops earlier once
     DUAL_PLATEAU steps in a row have not raised its best value by a
-    relative 1e-13. Returns the best iterate as (value, p, q).
+    relative 1e-13. With ``tol`` >= 0 it also stops at the first restart
+    (a rejected extrapolation) whose best weights, lifted on the small
+    side of A as in ``gamma2_upper``, certify an upper bound of at most
+    best / (1 - tol): the gap is then closed at ``tol``, and
+    ``gamma2_upper`` finds the same certificate without its interior
+    point. That check costs one SVD and one eigendecomposition per
+    restart whose best weights are new, on top of DUAL_MAX_STEPS. With
+    ``tol=None`` nothing is checked. Returns the best iterate as
+    (value, p, q).
     """
     a = as_matrix(a)
     m, n = a.shape
+    if tol is not None:
+        _check_tol(tol)
     x, y = np.full(m, 1.0 / np.sqrt(m)), np.full(n, 1.0 / np.sqrt(n))
     if float(np.abs(a).max()) == 0.0:
         return 0.0, x * x, y * y
@@ -219,34 +232,44 @@ def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
         return float(s.sum()), a * (u @ vt)
 
     val, az = evaluate(x, y)
-    best = (val, x * x, y * y)
+    best, checked = (val, x, y), None
     prev = None
     beta = DUAL_BETA_RESET
     flat = 0
-    while svds < DUAL_MAX_STEPS and flat < DUAL_PLATEAU:
-        fx = _unit(np.maximum(az @ y, 0.0))
-        fy = None if fx is None else _unit(np.maximum(az.T @ fx, 0.0))
-        if fy is None:
-            break
-        trial = None
-        if prev is not None:
-            ex, ey = _extrapolate(fx, prev[0], beta), _extrapolate(fy, prev[1], beta)
-            if ex is not None and ey is not None:
-                trial = (ex, ey, *evaluate(ex, ey))
-        if trial is not None and trial[2] >= val:
-            x, y, val, az = trial
-            beta = min(DUAL_BETA_GROWTH * beta, DUAL_BETA_MAX)
-        elif svds < DUAL_MAX_STEPS:
-            beta = DUAL_BETA_RESET
-            x, y = fx, fy
-            val, az = evaluate(x, y)
-        else:
-            break
-        prev = (fx, fy)
-        flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
-        if val > best[0]:
-            best = (val, x * x, y * y)
-    return best
+    # the extrapolation divides by zero weights and overflows on
+    # entries that it then discards
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while svds < DUAL_MAX_STEPS and flat < DUAL_PLATEAU:
+            fx = _unit(np.maximum(az @ y, 0.0))
+            fy = None if fx is None else _unit(np.maximum(az.T @ fx, 0.0))
+            if fy is None:
+                break
+            trial = None
+            if prev is not None:
+                ex, ey = _extrapolate(fx, prev[0], beta), _extrapolate(fy, prev[1], beta)
+                if ex is not None and ey is not None:
+                    trial = (ex, ey, *evaluate(ex, ey))
+            rejected = trial is not None and trial[2] < val
+            if trial is not None and not rejected:
+                x, y, val, az = trial
+                beta = min(DUAL_BETA_GROWTH * beta, DUAL_BETA_MAX)
+            elif svds < DUAL_MAX_STEPS:
+                beta = DUAL_BETA_RESET
+                x, y = fx, fy
+                val, az = evaluate(x, y)
+            else:
+                break
+            prev = (fx, fy)
+            flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
+            if val > best[0]:
+                best = (val, x, y)
+            if rejected and tol is not None and best is not checked:
+                _, bx, by = checked = best
+                (upper, *_), _ = _lifts(a, bx * bx, by * by, (m > n,))[0]
+                if upper <= _target(best[0], tol):
+                    break
+    val, x, y = best
+    return val, x * x, y * y
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +278,11 @@ def gamma2_lower_dual(a) -> tuple[float, np.ndarray, np.ndarray]:
 # the balanced factors.
 # ---------------------------------------------------------------------------
 
-def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Primal ellipsoid shapes implied by dual weights, both sides.
+def _lifts(a: np.ndarray, p: np.ndarray, q: np.ndarray, sides=(False, True)):
+    """Certified primal lifts of dual weights: (certify result,
+    transposed?) for each side in ``sides``, False for the row side (an
+    ellipsoid for the columns of a) and True for the column side (one
+    for its rows, certified against a^T), from one SVD.
 
     At a dual optimum with singular decomposition
     P^1/2 A Q^1/2 = U Sigma V^T, complementary slackness pins the
@@ -271,10 +297,12 @@ def _lift_candidates(a: np.ndarray, p: np.ndarray, q: np.ndarray):
     qf = qf / qf.sum()
     mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    d_row = ((u * s) @ u.T) / np.sqrt(pf)[:, None] / np.sqrt(pf)[None, :]
-    v = vt.T
-    d_col = ((v * s) @ v.T) / np.sqrt(qf)[:, None] / np.sqrt(qf)[None, :]
-    return d_row, d_col
+    lifts = []
+    for transposed in sides:
+        w, root = (vt.T, np.sqrt(qf)) if transposed else (u, np.sqrt(pf))
+        shape = ((w * s) @ w.T) / root[:, None] / root[None, :]
+        lifts.append((certify(a.T if transposed else a, shape), transposed))
+    return lifts
 
 
 def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
@@ -338,15 +366,13 @@ def gamma2_upper(
         dual = gamma2_lower_dual(a)
     lower, p, q = dual
 
-    d_row, d_col = _lift_candidates(a, p, q)
     # (certificate, transposed?) pairs; a transposed certificate
     # encloses the rows of A
     best, side_t = min(
         [
             (certify(a, a @ a.T), False),  # trivial factorization A = A I
             (certify(a, np.eye(m) * one_to_two_norm(a) ** 2), False),  # A = I A
-            (certify(a, d_row), False),
-            (certify(a.T, d_col), True),
+            *_lifts(a, p, q),
         ],
         key=lambda cand: cand[0][0],
     )
@@ -453,7 +479,7 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
         # the block keeps A's memory order, on which BLAS rounding depends
         block = np.empty_like(a, shape=(rows.size, cols.size))
         block[...] = a[np.ix_(rows, cols)]
-        lower, p, q = gamma2_lower_dual(block)
+        lower, p, q = gamma2_lower_dual(block, tol=tol)
         upper, d, b, c, _ = gamma2_upper(block, tol=tol, dual=(lower, p, q))
         # weak duality must hold between certified quantities
         if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):

@@ -168,6 +168,19 @@ def test_dual_ascent_values():
     assert abs(value - 1.7777777777777783) <= 1e-12
 
 
+def test_ascent_stops_on_certified_gap(monkeypatch):
+    # the ascent made 66 SVDs on T_32 standalone and 68 inside gamma2
+    # while it ignored tol
+    calls = _count_svds(monkeypatch)
+    t32 = tn_matrix(32)
+    gamma2_lower_dual(t32)
+    standalone = len(calls)
+    calls.clear()
+    cert = gamma2(t32)
+    assert cert.converged
+    assert 0 < len(calls) <= standalone // 2
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 def test_ap14_converges_below_plain_ascent_gap(tol):
     # the plain ascent stopped 2e-6 below gamma_2 on AP_14^T, so no
@@ -302,6 +315,8 @@ def test_gamma2_rejects_nan_and_negative_tol(tol):
             gamma2(a, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         gamma2_upper(tn_matrix(8), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        gamma2_lower_dual(tn_matrix(8), tol=tol)
 
 
 def test_gamma2_tol_zero_and_above_one():
@@ -507,7 +522,8 @@ def test_lift_only_path_matches_default():
     # skipped and the upper bound comes from the lifted and trivial
     # candidates alone
     t3 = tn_matrix(3)
-    ref = gamma2(t3).upper
+    # the default tol leaves gamma2's own gap at up to 1e-4
+    ref = gamma2(t3, tol=1e-9).upper
     value, d, b, c, _ = gamma2_upper(t3, tol=1.0)
     ell = Ellipsoid(d)
     assert value >= ref - 1e-9
@@ -520,7 +536,7 @@ def test_interior_point_cross_check():
     for n in (3, 5, 8):
         t = tn_matrix(n)
         value, d, _, _ = minimum_height_ellipsoid(t)
-        ref = gamma2(t).upper
+        ref = gamma2(t, tol=1e-9).upper
         assert abs(value - ref) <= 1e-5 * ref
         # D is the certified ellipsoid: every column fits, max diag = value^2
         assert abs(np.max(np.diag(d)) - value**2) <= 1e-6 * value**2

@@ -6,7 +6,7 @@ import importlib
 import numpy as np
 
 from g2d.ellipsoid import certify
-from g2d.gamma2 import gamma2
+from g2d.gamma2 import DEFAULT_TOL, gamma2, gamma2_lower_dual, gamma2_upper
 from g2d.interior import minimum_height_ellipsoid, svec, sym_kron
 from g2d.linalg import tn_matrix
 from g2d.setsystems import arithmetic_progressions
@@ -67,8 +67,8 @@ def _count_hessians(monkeypatch):
     return calls
 
 
-# a + b of criterion 8's first pair: the default gamma2 runs the
-# refiner on it (on AP_14^T the ascent's lift closes the gap alone)
+# a + b of criterion 8's pairs 0 and 12: the refiner ran on both until
+# the ascent stopped on the certified gap of its own lift
 PAIR0_SUM = np.array(
     [
         [1.0, 1.0, 1.0, 1.0],
@@ -80,14 +80,42 @@ PAIR0_SUM = np.array(
         [1.0, 2.0, 1.0, 1.0],
     ]
 )
+PAIR12_SUM = np.array(
+    [
+        [0.0, 2.0, 2.0, 1.0, 1.0],
+        [1.0, 0.0, 2.0, 2.0, 1.0],
+        [0.0, 2.0, 2.0, 1.0, 1.0],
+        [2.0, 1.0, 1.0, 1.0, 2.0],
+        [1.0, 0.0, 1.0, 2.0, 0.0],
+    ]
+)
+
+# a + b of criterion 8's pair 8: the default gamma2 still runs the
+# refiner on it
+PAIR8_SUM = np.array(
+    [
+        [2.0, 0.0, 1.0, 1.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [1.0, 1.0, 0.0, 1.0],
+        [1.0, 1.0, 2.0, 1.0],
+    ]
+)
 
 
 def test_refiner_stops_on_certified_gap(monkeypatch):
     calls = _count_hessians(monkeypatch)
-    cert = gamma2(PAIR0_SUM)
-    # 157 Newton steps when the refiner runs to its barrier stop
-    assert 0 < len(calls) <= 62
+    cert = gamma2(PAIR8_SUM)
+    # 363 Newton steps when the refiner runs to its barrier stop
+    assert 0 < len(calls) <= 58
     assert cert.converged
+
+
+def test_ascent_stop_skips_refiner(monkeypatch):
+    # 62 and 251 Newton steps while the ascent ignored tol
+    calls = _count_hessians(monkeypatch)
+    for a in (PAIR0_SUM, PAIR12_SUM):
+        assert gamma2(a).converged
+    assert len(calls) == 0
 
 
 def test_ap14_converges_without_refiner(monkeypatch):
@@ -134,9 +162,12 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
         shapes.append(np.array(shape))
         return certify(a, shape)
 
+    # the upper-bound stack of gamma2's one block; the ascent's check
+    # before it certifies the lift of the returned weights too
+    dual = gamma2_lower_dual(PAIR8_SUM, tol=DEFAULT_TOL)
     monkeypatch.setattr(gamma2_module, "certify", recording)
     monkeypatch.setattr(interior, "certify", recording)
-    gamma2(PAIR0_SUM)
+    gamma2_upper(PAIR8_SUM, dual=dual)
     # the four lift and trivial candidates, then one per barrier stage
     assert len(shapes) == 9
     for i, s in enumerate(shapes):

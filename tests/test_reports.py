@@ -62,7 +62,8 @@ def test_tn_figure_rerun_is_bit_identical(tmp_path):
 
 
 def test_ellipsoid_dump_t2(tmp_path):
-    summary = ellipsoid_dump(2, str(tmp_path))
+    # the default tol leaves the weights about 6e-6 from 1/3 and 2/3
+    summary = ellipsoid_dump(2, str(tmp_path), tol=1e-8)
     assert summary["converged"]
     p = read_matrix(tmp_path / "T_2_p.txt").reshape(-1)
     q = read_matrix(tmp_path / "T_2_q.txt").reshape(-1)
