@@ -36,11 +36,13 @@ The solve path:
    where each closed-form step is followed by a geometric extrapolation
    along the previous step that is kept only when it does not lower the
    value, and whose exponent resets when it is rejected; one SVD per
-   point tried, at most DUAL_MAX_STEPS in all. At each such restart the
+   point tried, at most DUAL_MAX_STEPS in all. At such a restart the
    ascent lifts its best weights on the small side as in step 3 and
    certifies that shape, one more SVD and one eigendecomposition on top
-   of DUAL_MAX_STEPS; it stops once that upper bound is within ``tol``
-   of its value, so step 3 then meets the gap and step 4 does not run;
+   of DUAL_MAX_STEPS, unless its gain over the last restart cycle says
+   that the value is still more than ``tol`` below gamma_2; it stops
+   once that upper bound is within ``tol`` of its value, so step 3 then
+   meets the gap, reusing that lift, and step 4 does not run;
 3. a closed-form primal lift of the dual weights (the first-order
    conditions pair an optimal (p, q) with the optimal ellipsoid
    P^{-1/2} U Sigma U^T P^{-1/2}), on the row and the column side,
@@ -211,10 +213,16 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     side of A as in ``gamma2_upper``, certify an upper bound of at most
     best / (1 - tol): the gap is then closed at ``tol``, and
     ``gamma2_upper`` finds the same certificate without its interior
-    point. That check costs one SVD and one eigendecomposition per
-    restart whose best weights are new, on top of DUAL_MAX_STEPS. With
-    ``tol=None`` nothing is checked. Returns the best iterate as
-    (value, p, q).
+    point. That check costs one SVD and one eigendecomposition, on top
+    of DUAL_MAX_STEPS, and is made only at restarts whose best weights
+    are new and where best plus its gain since the previous restart is
+    below best / (1 - tol): the gain estimates how far best still is
+    below gamma_2, so the check is skipped while it would fail, and at
+    ``tol`` = 0 none is made. With ``tol=None`` nothing is checked.
+
+    Returns the best iterate as (value, p, q); when the last check
+    lifted those weights (or ones that differ only below the lift's
+    1e-12 floor), ``gamma2_upper`` given this triple reuses that lift.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -232,7 +240,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
         return float(s.sum()), a * (u @ vt)
 
     val, az = evaluate(x, y)
-    best, checked = (val, x, y), None
+    best, checked, lift = (val, x, y), None, None
+    restart_val = val
     prev = None
     beta = DUAL_BETA_RESET
     flat = 0
@@ -263,13 +272,24 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
             flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
             if val > best[0]:
                 best = (val, x, y)
-            if rejected and tol is not None and best is not checked:
+            if rejected and tol is not None:
+                # the gain of the last restart cycle estimates how far
+                # the value still is below gamma_2, and no upper bound
+                # is below gamma_2: while value + gain is not below the
+                # target, the check is taken to fail and is skipped
+                gain, restart_val = best[0] - restart_val, best[0]
+                if best is checked or best[0] + gain >= _target(best[0], tol):
+                    continue
                 _, bx, by = checked = best
-                (upper, *_), _ = _lifts(a, bx * bx, by * by, (m > n,))[0]
+                if lift is None or not lift.fits(a, bx * bx, by * by):
+                    lift = _Lift(a, bx * bx, by * by)
+                (upper, *_), _ = lift.side(m > n)
                 if upper <= _target(best[0], tol):
                     break
     val, x, y = best
-    return val, x * x, y * y
+    dual = _DualBound((val, x * x, y * y))
+    dual.lift = lift
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +298,16 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
 # the balanced factors.
 # ---------------------------------------------------------------------------
 
-def _lifts(a: np.ndarray, p: np.ndarray, q: np.ndarray, sides=(False, True)):
-    """Certified primal lifts of dual weights: (certify result,
-    transposed?) for each side in ``sides``, False for the row side (an
-    ellipsoid for the columns of a) and True for the column side (one
-    for its rows, certified against a^T), from one SVD.
+def _floored(p: np.ndarray) -> np.ndarray:
+    """p with its weights below 1e-12 raised to 1e-12, so that P^-1/2
+    exists, renormalized."""
+    pf = np.maximum(p, 1e-12)
+    return pf / pf.sum()
+
+
+class _Lift:
+    """Primal lifts of dual weights (p, q) on ``a``, from one SVD; each
+    side is certified once, when first asked for.
 
     At a dual optimum with singular decomposition
     P^1/2 A Q^1/2 = U Sigma V^T, complementary slackness pins the
@@ -290,19 +315,40 @@ def _lifts(a: np.ndarray, p: np.ndarray, q: np.ndarray, sides=(False, True)):
     column-side analogue). Away from optimality these are merely
     candidate shapes; certification decides their worth.
     """
-    # zero weights are raised to 1e-12 so that P^-1/2 and Q^-1/2 exist
-    pf = np.maximum(p, 1e-12)
-    pf = pf / pf.sum()
-    qf = np.maximum(q, 1e-12)
-    qf = qf / qf.sum()
-    mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    lifts = []
-    for transposed in sides:
-        w, root = (vt.T, np.sqrt(qf)) if transposed else (u, np.sqrt(pf))
-        shape = ((w * s) @ w.T) / root[:, None] / root[None, :]
-        lifts.append((certify(a.T if transposed else a, shape), transposed))
-    return lifts
+
+    def __init__(self, a: np.ndarray, p: np.ndarray, q: np.ndarray):
+        pf, qf = self.weights = _floored(p), _floored(q)
+        mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
+        self.a = a
+        self._svd = np.linalg.svd(mat, full_matrices=False)
+        self._roots = (np.sqrt(pf), np.sqrt(qf))
+        self._sides: dict[bool, tuple] = {}
+
+    def fits(self, a: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
+        """Whether this is the lift of (p, q) on a: weights that differ
+        only below the floor have the same lift."""
+        return np.array_equal(self.a, a) and all(
+            np.array_equal(w, _floored(v)) for w, v in zip(self.weights, (p, q))
+        )
+
+    def side(self, transposed: bool):
+        """(certify result, transposed): False for the row side (an
+        ellipsoid for the columns of a), True for the column side (one
+        for its rows, certified against a^T)."""
+        if transposed not in self._sides:
+            u, s, vt = self._svd
+            w, root = (vt.T, self._roots[1]) if transposed else (u, self._roots[0])
+            shape = ((w * s) @ w.T) / root[:, None] / root[None, :]
+            self._sides[transposed] = certify(self.a.T if transposed else self.a, shape)
+        return self._sides[transposed], transposed
+
+
+class _DualBound(tuple):
+    """The ascent's (value, p, q), which unpacks as a plain triple.
+    ``lift`` is the _Lift of the ascent's last gap check, if any; it
+    may belong to earlier weights."""
+
+    lift: _Lift | None = None
 
 
 def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
@@ -353,7 +399,9 @@ def gamma2_upper(
     value is still a valid upper bound).
 
     ``dual`` may carry a precomputed (value, p, q) triple to avoid
-    re-running the dual ascent.
+    re-running the dual ascent; when it is ``gamma2_lower_dual``'s own
+    result for this matrix, the side that the ascent's gap check lifted
+    is not lifted again. Without it the ascent runs with this ``tol``.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -363,8 +411,11 @@ def gamma2_upper(
         return 0.0, np.zeros((m, m)), np.zeros((m, 1)), np.zeros((1, n)), True
 
     if dual is None:
-        dual = gamma2_lower_dual(a)
+        dual = gamma2_lower_dual(a, tol=tol)
     lower, p, q = dual
+    lift = getattr(dual, "lift", None)
+    if lift is None or not lift.fits(a, p, q):
+        lift = _Lift(a, p, q)
 
     # (certificate, transposed?) pairs; a transposed certificate
     # encloses the rows of A
@@ -372,7 +423,8 @@ def gamma2_upper(
         [
             (certify(a, a @ a.T), False),  # trivial factorization A = A I
             (certify(a, np.eye(m) * one_to_two_norm(a) ** 2), False),  # A = I A
-            *_lifts(a, p, q),
+            lift.side(False),
+            lift.side(True),
         ],
         key=lambda cand: cand[0][0],
     )
@@ -479,8 +531,9 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
         # the block keeps A's memory order, on which BLAS rounding depends
         block = np.empty_like(a, shape=(rows.size, cols.size))
         block[...] = a[np.ix_(rows, cols)]
-        lower, p, q = gamma2_lower_dual(block, tol=tol)
-        upper, d, b, c, _ = gamma2_upper(block, tol=tol, dual=(lower, p, q))
+        dual = gamma2_lower_dual(block, tol=tol)
+        lower, p, q = dual
+        upper, d, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
         # weak duality must hold between certified quantities
         if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
             raise CertificateError(

@@ -181,6 +181,14 @@ def test_ascent_stops_on_certified_gap(monkeypatch):
     assert 0 < len(calls) <= standalone // 2
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_upper_alone_stops_its_ascent_on_tol(tol):
+    # without weights gamma2_upper runs the ascent with its own tol, as
+    # gamma2 does on a one-block matrix
+    t32 = tn_matrix(32)
+    assert gamma2_upper(t32, tol=tol)[0] == gamma2(t32, tol=tol).upper
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 def test_ap14_converges_below_plain_ascent_gap(tol):
     # the plain ascent stopped 2e-6 below gamma_2 on AP_14^T, so no
@@ -524,7 +532,9 @@ def test_lift_only_path_matches_default():
     t3 = tn_matrix(3)
     # the default tol leaves gamma2's own gap at up to 1e-4
     ref = gamma2(t3, tol=1e-9).upper
-    value, d, b, c, _ = gamma2_upper(t3, tol=1.0)
+    # weights from the ascent run to its plateau: given no weights,
+    # gamma2_upper stops its ascent at tol=1.0 too
+    value, d, b, c, _ = gamma2_upper(t3, tol=1.0, dual=gamma2_lower_dual(t3))
     ell = Ellipsoid(d)
     assert value >= ref - 1e-9
     assert value <= ref * (1.0 + 2e-3)

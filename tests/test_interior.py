@@ -6,7 +6,7 @@ import importlib
 import numpy as np
 
 from g2d.ellipsoid import certify
-from g2d.gamma2 import DEFAULT_TOL, gamma2, gamma2_lower_dual, gamma2_upper
+from g2d.gamma2 import gamma2
 from g2d.interior import minimum_height_ellipsoid, svec, sym_kron
 from g2d.linalg import tn_matrix
 from g2d.setsystems import arithmetic_progressions
@@ -162,14 +162,13 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
         shapes.append(np.array(shape))
         return certify(a, shape)
 
-    # the upper-bound stack of gamma2's one block; the ascent's check
-    # before it certifies the lift of the returned weights too
-    dual = gamma2_lower_dual(PAIR8_SUM, tol=DEFAULT_TOL)
     monkeypatch.setattr(gamma2_module, "certify", recording)
     monkeypatch.setattr(interior, "certify", recording)
-    gamma2_upper(PAIR8_SUM, dual=dual)
-    # the four lift and trivial candidates, then one per barrier stage
-    assert len(shapes) == 9
+    gamma2(PAIR8_SUM)
+    # the small-side lifts of the ascent's three gap checks, the two
+    # trivial candidates and the other side's lift (the last check's
+    # lift is reused), then one per barrier stage
+    assert len(shapes) == 11
     for i, s in enumerate(shapes):
         assert not any(np.array_equal(s, o) for o in shapes[:i])
 
