@@ -43,21 +43,21 @@ The solve path:
    that the value is still more than ``tol`` below gamma_2; it stops
    once that upper bound is within ``tol`` of its value, so step 3 then
    meets the gap, reusing that lift, and step 4 does not run;
-3. a closed-form primal lift of the dual weights (the first-order
-   conditions pair an optimal (p, q) with the optimal ellipsoid
-   P^{-1/2} U Sigma U^T P^{-1/2}), on the row and the column side,
-   next to the shapes of the trivial factorizations A = A I and
-   A = I A. ``ellipsoid.certify`` turns each shape into its value, its
-   ellipsoid D and balanced factors A = B C with D = value * B B^T,
-   from one eigendecomposition; the least value wins, and a column-side
-   winner is transposed into B, C and D for A;
+3. the closed-form primal lift of the dual weights on the smaller side:
+   the first-order conditions pair an optimal (p, q) with the optimal
+   ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
+   with its column-side analogue for the rows. ``ellipsoid.certify``
+   turns that shape into its value, its ellipsoid D and balanced
+   factors A = B C with D = value * B B^T, from one eigendecomposition;
+   on a tall A the shape encloses the rows, so its factors are
+   transposed into those of A, and D is rebuilt from them;
 4. an interior-point solve of the enclosing-ellipsoid program on the
-   smaller side, only while the certified gap exceeds the requested
+   same side, only while the certified gap exceeds the requested
    tolerance and that side is small enough. It certifies the ellipsoid
    of each barrier stage once and stops after the first whose value is
    at most lower / (1 - tol), which closes the gap, or at its barrier
    stop. It returns the ``certify`` result of the stage it stopped on,
-   which is one more candidate and wins only if its value is lower.
+   which replaces the lift's only if its value is lower.
 
 The path makes no random choices: a matrix always gets the same
 certificate.
@@ -149,16 +149,26 @@ class Gamma2Certificate:
         return self.upper - self.lower
 
 
-def dual_value(a, p, q) -> float:
-    """Nuclear norm of diag(p)^1/2 A diag(q)^1/2; a lower bound on
-    gamma_2(A) for any probability vectors p, q."""
-    a = as_matrix(a)
+def _weights(a: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column weights for ``a`` as float vectors; raises
+    ValueError unless their lengths match its shape and their entries
+    are finite and nonnegative (up to -1e-12)."""
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape[0] != a.shape[0] or q.shape[0] != a.shape[1]:
         raise ValueError("weight lengths must match the matrix shape")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("weights must be finite")
     if (p < -1e-12).any() or (q < -1e-12).any():
         raise ValueError("weights must be nonnegative")
+    return p, q
+
+
+def dual_value(a, p, q) -> float:
+    """Nuclear norm of diag(p)^1/2 A diag(q)^1/2; a lower bound on
+    gamma_2(A) for any probability vectors p, q."""
+    a = as_matrix(a)
+    p, q = _weights(a, p, q)
     m = np.sqrt(np.clip(p, 0.0, None))[:, None] * a
     m = m * np.sqrt(np.clip(q, 0.0, None))[None, :]
     return nuclear_norm(m)
@@ -283,8 +293,7 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
                 _, bx, by = checked = best
                 if lift is None or not lift.fits(a, bx * bx, by * by):
                     lift = _Lift(a, bx * bx, by * by)
-                (upper, *_), _ = lift.side(m > n)
-                if upper <= _target(best[0], tol):
+                if lift.cert[0] <= _target(best[0], tol):
                     break
     val, x, y = best
     dual = _DualBound((val, x * x, y * y))
@@ -293,9 +302,9 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Upper bounds: every candidate is an ellipsoid shape (any scale), and
-# ellipsoid.certify turns it into the certified value, the ellipsoid and
-# the balanced factors.
+# Upper bounds: the lift and the refiner each give an ellipsoid shape
+# (any scale), and ellipsoid.certify turns it into the certified value,
+# the ellipsoid and the balanced factors.
 # ---------------------------------------------------------------------------
 
 def _floored(p: np.ndarray) -> np.ndarray:
@@ -306,23 +315,26 @@ def _floored(p: np.ndarray) -> np.ndarray:
 
 
 class _Lift:
-    """Primal lifts of dual weights (p, q) on ``a``, from one SVD; each
-    side is certified once, when first asked for.
+    """The primal lift of dual weights (p, q) on ``a``, on its small
+    side, from one SVD and one ``certify``.
 
     At a dual optimum with singular decomposition
     P^1/2 A Q^1/2 = U Sigma V^T, complementary slackness pins the
-    optimal SDP block to P^{-1/2} U Sigma U^T P^{-1/2} (and the
-    column-side analogue). Away from optimality these are merely
-    candidate shapes; certification decides their worth.
+    optimal SDP block to P^{-1/2} U Sigma U^T P^{-1/2}, and the
+    column-side block to Q^{-1/2} V Sigma V^T Q^{-1/2}. Away from
+    optimality these are merely candidate shapes; certification decides
+    their worth. ``cert`` is the ``certify`` result of the row-side shape
+    against ``a`` when m <= n, else of the column-side shape against
+    ``a.T``, whose factors the caller transposes.
     """
 
     def __init__(self, a: np.ndarray, p: np.ndarray, q: np.ndarray):
         pf, qf = self.weights = _floored(p), _floored(q)
-        mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
         self.a = a
-        self._svd = np.linalg.svd(mat, full_matrices=False)
-        self._roots = (np.sqrt(pf), np.sqrt(qf))
-        self._sides: dict[bool, tuple] = {}
+        mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        w, root, pts = (vt.T, np.sqrt(qf), a.T) if a.shape[0] > a.shape[1] else (u, np.sqrt(pf), a)
+        self.cert = certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
 
     def fits(self, a: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
         """Whether this is the lift of (p, q) on a: weights that differ
@@ -330,17 +342,6 @@ class _Lift:
         return np.array_equal(self.a, a) and all(
             np.array_equal(w, _floored(v)) for w, v in zip(self.weights, (p, q))
         )
-
-    def side(self, transposed: bool):
-        """(certify result, transposed): False for the row side (an
-        ellipsoid for the columns of a), True for the column side (one
-        for its rows, certified against a^T)."""
-        if transposed not in self._sides:
-            u, s, vt = self._svd
-            w, root = (vt.T, self._roots[1]) if transposed else (u, self._roots[0])
-            shape = ((w * s) @ w.T) / root[:, None] / root[None, :]
-            self._sides[transposed] = certify(self.a.T if transposed else self.a, shape)
-        return self._sides[transposed], transposed
 
 
 class _DualBound(tuple):
@@ -398,10 +399,16 @@ def gamma2_upper(
     is above lower / (1 - tol), with ``tol`` >= 0, after the refiner (the
     value is still a valid upper bound).
 
+    The bound is the certified small-side lift of the dual weights, and
+    only when that misses lower / (1 - tol) and min(m, n) <=
+    IP_SIDE_CAP, the interior point on the same side, kept if lower.
+
     ``dual`` may carry a precomputed (value, p, q) triple to avoid
-    re-running the dual ascent; when it is ``gamma2_lower_dual``'s own
-    result for this matrix, the side that the ascent's gap check lifted
-    is not lifted again. Without it the ascent runs with this ``tol``.
+    re-running the dual ascent; p and q must match the shape of ``a``
+    and be finite and nonnegative, else ValueError. When it is
+    ``gamma2_lower_dual``'s own result for this matrix, the lift that
+    the ascent's last gap check certified is reused. Without it the
+    ascent runs with this ``tol``.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -413,37 +420,26 @@ def gamma2_upper(
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
     lower, p, q = dual
+    p, q = _weights(a, p, q)
     lift = getattr(dual, "lift", None)
     if lift is None or not lift.fits(a, p, q):
         lift = _Lift(a, p, q)
-
-    # (certificate, transposed?) pairs; a transposed certificate
-    # encloses the rows of A
-    best, side_t = min(
-        [
-            (certify(a, a @ a.T), False),  # trivial factorization A = A I
-            (certify(a, np.eye(m) * one_to_two_norm(a) ** 2), False),  # A = I A
-            lift.side(False),
-            lift.side(True),
-        ],
-        key=lambda cand: cand[0][0],
-    )
+    best = lift.cert
     target = _target(lower, tol)
 
-    # interior-point refinement on the small side; it returns the
+    # interior-point refinement on the same small side; it returns the
     # certificate of the first barrier stage that meets the target, or
     # of its last stage
     if best[0] > target and min(m, n) <= IP_SIDE_CAP:
-        pts = a if m <= n else a.T
         try:
-            refined = minimum_height_ellipsoid(pts, target=target)
+            refined = minimum_height_ellipsoid(a.T if m > n else a, target=target)
             if refined[0] < best[0]:
-                best, side_t = refined, m > n
+                best = refined
         except (InteriorPointError, np.linalg.LinAlgError):
             pass
 
     value, d, b, c = best
-    if side_t:
+    if m > n:  # the certificate encloses the rows of A
         b, c = c.T, b.T
         d = value * (b @ b.T)
     return float(value), d, b, c, value <= target

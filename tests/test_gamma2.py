@@ -327,6 +327,38 @@ def test_gamma2_rejects_nan_and_negative_tol(tol):
         gamma2_lower_dual(tn_matrix(8), tol=tol)
 
 
+def test_upper_rejects_weights_of_the_wrong_length():
+    # a length-1 p once broadcast over both rows and gave a value
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    half = np.full(2, 0.5)
+    for p, q in ((np.ones(1), half), (half, np.ones(3))):
+        with pytest.raises(ValueError, match="length"):
+            gamma2_upper(a, dual=(1.0, p, q))
+        with pytest.raises(ValueError, match="length"):
+            dual_value(a, p, q)
+
+
+def test_upper_rejects_non_finite_weights():
+    # a NaN weight once raised LinAlgError("SVD did not converge")
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    half = np.full(2, 0.5)
+    for bad in (np.array([np.nan, 1.0]), np.array([np.inf, 0.5])):
+        for p, q in ((bad, half), (half, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                gamma2_upper(a, dual=(1.0, p, q))
+            with pytest.raises(ValueError, match="finite"):
+                dual_value(a, p, q)
+
+
+def test_upper_rejects_negative_weights():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    half = np.full(2, 0.5)
+    bad = np.array([1.5, -0.5])
+    for p, q in ((bad, half), (half, bad)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma2_upper(a, dual=(1.0, p, q))
+
+
 def test_gamma2_tol_zero_and_above_one():
     t = tn_matrix(4)
     loose = gamma2(t, tol=1.0)
@@ -527,8 +559,7 @@ def test_factor_norms_are_balanced():
 
 def test_lift_only_path_matches_default():
     # tol=1.0 makes the gap check pass, so the interior point is
-    # skipped and the upper bound comes from the lifted and trivial
-    # candidates alone
+    # skipped and the upper bound is the small-side lift alone
     t3 = tn_matrix(3)
     # the default tol leaves gamma2's own gap at up to 1e-4
     ref = gamma2(t3, tol=1e-9).upper

@@ -4,12 +4,13 @@ the certificate it returns."""
 import importlib
 
 import numpy as np
+import pytest
 
 from g2d.ellipsoid import certify
 from g2d.gamma2 import gamma2
 from g2d.interior import minimum_height_ellipsoid, svec, sym_kron
 from g2d.linalg import tn_matrix
-from g2d.setsystems import arithmetic_progressions
+from g2d.setsystems import arithmetic_progressions, maximal_aps, subcubes
 
 interior = importlib.import_module("g2d.interior")
 gamma2_module = importlib.import_module("g2d.gamma2")
@@ -155,7 +156,8 @@ def test_refiner_stops_at_the_floor(monkeypatch):
     assert 0 < len(calls) <= 400
 
 
-def test_refiner_certifies_each_shape_once(monkeypatch):
+def _record_certify(monkeypatch):
+    # the shape of every certify call, in the lift and in the refiner
     shapes = []
 
     def recording(a, shape):
@@ -164,11 +166,16 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(gamma2_module, "certify", recording)
     monkeypatch.setattr(interior, "certify", recording)
+    return shapes
+
+
+def test_refiner_certifies_each_shape_once(monkeypatch):
+    shapes = _record_certify(monkeypatch)
     gamma2(PAIR8_SUM)
-    # the small-side lifts of the ascent's three gap checks, the two
-    # trivial candidates and the other side's lift (the last check's
-    # lift is reused), then one per barrier stage
-    assert len(shapes) == 11
+    # the small-side lifts of the ascent's three gap checks (the last
+    # one's lift is reused as the closed-form candidate), then one per
+    # barrier stage
+    assert len(shapes) == 8
     for i, s in enumerate(shapes):
         assert not any(np.array_equal(s, o) for o in shapes[:i])
 
@@ -176,3 +183,31 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
     assert value == 0.0
     assert d.shape == (3, 3) and not d.any()
     assert not (b @ c).any() and (b @ c).shape == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [maximal_aps(24).large_difference.incidence, subcubes(5).incidence.T],
+    ids=["maximal_aps_24_tall", "subcubes_5_wide"],
+)
+def test_upper_certifies_only_the_small_side(monkeypatch, a):
+    # 158 x 158 shapes on the tall matrix, and a 243 x 243 one on the
+    # wide matrix, while the upper bound also certified A = A I, A = I A
+    # and the large-side lift
+    shapes = _record_certify(monkeypatch)
+    upper = gamma2_module.gamma2_upper
+    added = []
+
+    def counting_upper(*args, **kwargs):
+        before = len(shapes)
+        result = upper(*args, **kwargs)
+        added.append(len(shapes) - before)
+        return result
+
+    monkeypatch.setattr(gamma2_module, "gamma2_upper", counting_upper)
+    assert gamma2(a).converged
+    k = min(a.shape)
+    assert shapes and all(s.shape == (k, k) for s in shapes)
+    # the lift of the ascent's last check meets the target: the upper
+    # bound certifies nothing more
+    assert added == [0]
