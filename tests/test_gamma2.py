@@ -16,8 +16,10 @@ from g2d.ellipsoid import (
     membership_value,
 )
 from g2d.gamma2 import (
+    DEFAULT_TOL,
     DUAL_MAX_STEPS,
     CertificateError,
+    _gram_polar,
     check_certificate,
     dual_value,
     gamma2,
@@ -126,22 +128,26 @@ def test_gamma2_lower_dual_reports_achieved_value():
         assert abs(p.sum() - 1.0) < 1e-9 and abs(q.sum() - 1.0) < 1e-9
 
 
-def _count_svds(monkeypatch):
+def _count_factorizations(monkeypatch):
+    """Record every np.linalg.svd and np.linalg.eigh call: an ascent
+    step makes one or the other, or both when the Gram path falls
+    back to the SVD."""
     calls = []
-    original = np.linalg.svd
+    for name in ("svd", "eigh"):
+        original = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_dual_ascent_svd_budget_and_simplex(monkeypatch):
-    calls = _count_svds(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     for a in (
-        arithmetic_progressions(14).incidence.T,  # runs to the SVD budget
+        arithmetic_progressions(14).incidence.T,  # runs to the step budget
         maximal_aps(24).large_difference.incidence,
         tn_matrix(32),
     ):
@@ -171,7 +177,7 @@ def test_dual_ascent_values():
 def test_ascent_stops_on_certified_gap(monkeypatch):
     # the ascent made 66 SVDs on T_32 standalone and 68 inside gamma2
     # while it ignored tol
-    calls = _count_svds(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     t32 = tn_matrix(32)
     gamma2_lower_dual(t32)
     standalone = len(calls)
@@ -179,6 +185,41 @@ def test_ascent_stops_on_certified_gap(monkeypatch):
     cert = gamma2(t32)
     assert cert.converged
     assert 0 < len(calls) <= standalone // 2
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        random_binary(np.random.default_rng(14), 14, 57),
+        maximal_aps(24).large_difference.incidence,  # 158x24, tall
+    ],
+)
+def test_gram_path_matches_the_svd(a):
+    rng = np.random.default_rng(57)
+    mat = rng.random(a.shape[0])[:, None] * a * rng.random(a.shape[1])[None, :]
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    polar = _gram_polar(mat)
+    assert polar is not None  # well conditioned: no SVD fallback
+    value, z = polar
+    assert abs(value - nuclear_norm(mat)) <= 1e-12 * value
+    assert np.abs(z - u @ vt).max() <= 1e-9
+
+
+def test_rank_deficient_block_falls_back_to_the_svd(monkeypatch):
+    # the Gram matrix of this rank-3 matrix drops its small singular
+    # directions; ascent steps taken from it gave weights whose lift
+    # missed the gap, so the interior point ran for about 1.2 s and
+    # stopped at a rel gap of 3e-6
+    a = np.random.default_rng(1).random((20, 3)) @ np.random.default_rng(2).random((3, 30))
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interior point ran")
+
+    monkeypatch.setattr(module, "minimum_height_ellipsoid", refuse)
+    cert = gamma2(a)
+    assert cert.converged
+    assert cert.gap <= 1e-9 * cert.upper
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
@@ -348,6 +389,21 @@ def test_upper_rejects_non_finite_weights():
                 gamma2_upper(a, dual=(1.0, p, q))
             with pytest.raises(ValueError, match="finite"):
                 dual_value(a, p, q)
+
+
+@pytest.mark.parametrize("scale", [(100.0, 1.0), (1.0, 100.0)])
+def test_upper_does_not_trust_a_caller_value(scale):
+    # an inflated value once made the lift of uniform weights (2.13
+    # against gamma_2 = 1.51) "converged"; weights that do not sum to 1
+    # must not inflate the value computed in its place either
+    t8 = tn_matrix(8)
+    uniform = np.full(8, 1.0 / 8.0)
+    value_scale, weight_scale = scale
+    claimed = value_scale * dual_value(t8, uniform, uniform)
+    value, *_, converged = gamma2_upper(t8, dual=(claimed, weight_scale * uniform, uniform))
+    assert value <= 1.5105
+    assert not converged
+    assert value > dual_value(t8, uniform, uniform) / (1.0 - DEFAULT_TOL)
 
 
 def test_upper_rejects_negative_weights():
