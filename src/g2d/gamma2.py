@@ -38,16 +38,16 @@ The solve path:
    value, and whose exponent resets when it is rejected. Each point
    tried is one evaluation, at most DUAL_MAX_STEPS in all. On a block
    whose small side exceeds GRAM_MIN_SIDE it is one eigendecomposition
-   of the small-side Gram matrix, or an SVD when that matrix is ill
-   conditioned, and the best point's value is recomputed by one more
-   SVD, counted as an evaluation; on smaller blocks it is one SVD. At
-   such a restart the ascent lifts its best weights on the small side
-   as in step 3 and certifies that shape, one more SVD and one
-   eigendecomposition on top of DUAL_MAX_STEPS, unless its gain over
-   the last restart cycle says that the value is still more than
-   ``tol`` below gamma_2; it stops once that upper bound is within
-   ``tol`` of its value, so step 3 then meets the gap, reusing that
-   lift, and step 4 does not run;
+   of the small-side Gram matrix, or an SVD once that matrix has been
+   ill conditioned, and the best point's value is recomputed by one
+   more SVD, counted as an evaluation; on smaller blocks it is one SVD.
+   At each new best point, the step's own matrix-vector products give
+   the value that the small-side lift of step 3 would certify there;
+   only when that meets ``tol`` does the ascent make the lift, one more
+   SVD and one eigendecomposition on top of DUAL_MAX_STEPS, and after
+   a lift that misses, the next waits for a restart. It stops once a
+   lift's certified upper bound is within ``tol`` of its value, so step
+   3 then meets the gap, reusing that lift, and step 4 does not run;
 3. the closed-form primal lift of the dual weights on the smaller side:
    the first-order conditions pair an optimal (p, q) with the optimal
    ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
@@ -234,6 +234,28 @@ def _gram_polar(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
     return float(root.sum()), z
 
 
+def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, val: float, target: float) -> float:
+    """What the small-side lift of the weights (x^2, y^2) certifies,
+    read off an ascent point: az = A o U V^T for
+    diag(x) A diag(y) = U Sigma V^T, ay = az @ y and val = sum(Sigma).
+
+    With B = P^-1/2 U Sigma^1/2 and C = Sigma^1/2 V^T Q^-1/2, A = B C,
+    (A o Z) y = x o r and (A o Z)^T x = y o c for r and c the squared
+    row norms of B and column norms of C, and the lift certifies
+    sqrt(max r * max c) (Linial & Shraibman, STOC 2007). Weights
+    x_i, y_j <= 1e-6, which the lift floors, are skipped: their
+    quotients are rounding noise. The p-mean of r and the q-mean of c
+    are both val, so once max r * val exceeds target^2 this returns inf
+    without computing c.
+    """
+    live = x > 1e-6
+    r = float((ay[live] / x[live]).max())
+    if r * val > target * target:
+        return np.inf
+    live = y > 1e-6
+    return math.sqrt(r * float(((az.T @ x)[live] / y[live]).max()))
+
+
 def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual lower bound by extrapolated block-coordinate ascent on
     (Z, p, q).
@@ -244,7 +266,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     for M = U Sigma V^T, and the best Z = U V^T there: an SVD, or on a
     block whose small side exceeds GRAM_MIN_SIDE an eigendecomposition
     of the small-side Gram matrix M M^T or M^T M, which costs 1.3-6x
-    less, unless that matrix is ill conditioned (``_gram_polar``).
+    less, unless that matrix is ill conditioned (``_gram_polar``); after
+    the first such fallback the ascent makes SVDs only.
     The plain step F is closed form: given Z and y, maximizing
     sum_i x_i c_i with c = (A o Z) y over the unit sphere gives
     x = c_+ / ||c_+||, and likewise y = r_+ / ||r_+|| with
@@ -263,21 +286,21 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     The ascent makes at most DUAL_MAX_STEPS evaluations, and stops
     earlier once DUAL_PLATEAU steps in a row have not raised its best
     value by a relative 1e-13. With ``tol`` >= 0 it also stops at the
-    first restart (a rejected extrapolation) whose best weights, lifted
-    on the small side of A as in ``gamma2_upper``, certify an upper
-    bound of at most best / (1 - tol): the gap is then closed at
-    ``tol``, and ``gamma2_upper`` finds the same certificate without its
-    interior point. That check costs one SVD and one eigendecomposition,
-    on top of DUAL_MAX_STEPS, and is made only at restarts whose best
-    weights are new and where best plus its gain since the previous
-    restart is below best / (1 - tol): the gain estimates how far best
-    still is below gamma_2, so the check is skipped while it would fail,
-    and at ``tol`` = 0 none is made. With ``tol=None`` nothing is
+    first point whose weights, lifted on the small side of A as in
+    ``gamma2_upper``, certify an upper bound of at most value /
+    (1 - tol): the gap is then closed at ``tol``, and ``gamma2_upper``
+    finds the same certificate without its interior point. At each new
+    best point, ``_lift_guess`` reads what that lift would certify from
+    one or two matrix-vector products, and only when the guess meets
+    the target is the lift made, one SVD and one eigendecomposition on
+    top of DUAL_MAX_STEPS; the ascent stops only on the lift's own
+    certified value. After a lift that misses, the next one waits for a
+    restart (a rejected extrapolation). With ``tol=None`` nothing is
     checked.
 
-    Returns the best iterate as (value, p, q); when the last check
-    lifted those weights (or ones that differ only below the lift's
-    1e-12 floor), ``gamma2_upper`` given this triple reuses that lift.
+    Returns the best iterate as (value, p, q); when the last lift made
+    was of those weights (or ones that differ only below the lift's
+    1e-12 floor), ``gamma2_upper`` given this triple reuses it.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -289,20 +312,24 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     gram = min(m, n) > GRAM_MIN_SIDE
     # on the Gram path the final SVD of the best point is one of the steps
     steps = int(gram)
+    # cleared by the first Gram matrix that fails the conditioning
+    # test: on a rank-deficient block every later one fails it too
+    eig = gram
 
     def evaluate(x, y):
-        nonlocal steps
+        nonlocal steps, eig
         steps += 1
         mat = x[:, None] * a * y[None, :]
-        polar = _gram_polar(mat) if gram else None
+        polar = _gram_polar(mat) if eig else None
         if polar is not None:
             return polar[0], a * polar[1]
+        eig = False
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         return float(s.sum()), a * (u @ vt)
 
     val, az = evaluate(x, y)
-    best, checked, lift = (val, x, y), None, None
-    restart_val = val
+    best, lift = (val, x, y), None
+    armed = tol is not None
     prev = None
     beta = DUAL_BETA_RESET
     flat = 0
@@ -310,7 +337,15 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     # entries that it then discards
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while steps < DUAL_MAX_STEPS and flat < DUAL_PLATEAU:
-            fx = _unit(np.maximum(az @ y, 0.0))
+            ay = az @ y
+            if armed and best[1] is x:  # the current point is the best
+                target = _target(val, tol)
+                if _lift_guess(az, x, y, ay, val, target) <= target:
+                    lift = _Lift(a, x * x, y * y)
+                    if lift.cert[0] <= target:
+                        break
+                    armed = False
+            fx = _unit(np.maximum(ay, 0.0))
             fy = None if fx is None else _unit(np.maximum(az.T @ fx, 0.0))
             if fy is None:
                 break
@@ -324,6 +359,7 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
                 x, y, val, az = trial
                 beta = min(DUAL_BETA_GROWTH * beta, DUAL_BETA_MAX)
             elif steps < DUAL_MAX_STEPS:
+                armed |= rejected and tol is not None
                 beta = DUAL_BETA_RESET
                 x, y = fx, fy
                 val, az = evaluate(x, y)
@@ -333,19 +369,6 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
             flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
             if val > best[0]:
                 best = (val, x, y)
-            if rejected and tol is not None:
-                # the gain of the last restart cycle estimates how far
-                # the value still is below gamma_2, and no upper bound
-                # is below gamma_2: while value + gain is not below the
-                # target, the check is taken to fail and is skipped
-                gain, restart_val = best[0] - restart_val, best[0]
-                if best is checked or best[0] + gain >= _target(best[0], tol):
-                    continue
-                _, bx, by = checked = best
-                if lift is None or not lift.fits(a, bx * bx, by * by):
-                    lift = _Lift(a, bx * bx, by * by)
-                if lift.cert[0] <= _target(best[0], tol):
-                    break
     val, x, y = best
     if gram:  # the certified lower bound is an SVD value
         val = nuclear_norm(x[:, None] * a * y[None, :])

@@ -258,7 +258,8 @@ def format_matrix(a) -> str:
     """The "m n" line and the rows of a, one line each."""
     a = np.asarray(a, dtype=float)
     m, n = a.shape
-    return f"{m} {n}\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in a)
+    line = " ".join(["%.17g"] * n) + "\n"
+    return f"{m} {n}\n" + "".join(line % tuple(row) for row in a.tolist())
 
 
 def write_matrix(path, a, *, comments: list[str] | None = None) -> None:

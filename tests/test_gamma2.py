@@ -20,6 +20,8 @@ from g2d.gamma2 import (
     DUAL_MAX_STEPS,
     CertificateError,
     _gram_polar,
+    _Lift,
+    _lift_guess,
     check_certificate,
     dual_value,
     gamma2,
@@ -220,6 +222,79 @@ def test_rank_deficient_block_falls_back_to_the_svd(monkeypatch):
     cert = gamma2(a)
     assert cert.converged
     assert cert.gap <= 1e-9 * cert.upper
+
+
+def test_rank_deficient_block_stays_on_the_svd(monkeypatch):
+    # the ascent tried the Gram matrix again at every step, 78 eigh
+    # calls, although this rank-3 block fails its conditioning test at
+    # every weight
+    a = np.random.default_rng(1).random((20, 3)) @ np.random.default_rng(2).random((3, 30))
+    calls = _count_factorizations(monkeypatch)
+    gamma2_lower_dual(a)
+    assert calls.count("eigh") <= 3
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.random.default_rng(6).random((6, 7)),  # the SVD path's size
+        np.random.default_rng(7).random((7, 6)),
+        np.random.default_rng(14).random((14, 57)),
+        maximal_aps(24).large_difference.incidence,  # 158x24, tall
+    ],
+    ids=["6x7", "7x6", "14x57", "158x24"],
+)
+def test_lift_guess_is_the_lift_value(a):
+    rng = np.random.default_rng(58)
+    x, y = (rng.random(k) + 0.1 for k in a.shape)
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    mat = x[:, None] * a * y[None, :]
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    lifted = _Lift(a, x * x, y * y).cert[0]
+    for val, z in ((s.sum(), u @ vt), _gram_polar(mat)):
+        az = a * z
+        guess = _lift_guess(az, x, y, az @ y, val, np.inf)
+        assert abs(guess - lifted) <= 1e-9 * lifted
+        # below the lift's value the guess never meets the target
+        assert _lift_guess(az, x, y, az @ y, val, lifted * (1 - 1e-6)) > lifted * (1 - 1e-6)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        tn_matrix(32),
+        tn_matrix(48),
+        subcubes(4).incidence.T,
+        maximal_aps(24).large_difference.incidence,
+        arithmetic_progressions(14).incidence.T,
+    ],
+    ids=["T_32", "T_48", "subcubes_4_T", "maximal_aps_24", "AP_14_T"],
+)
+def test_ascent_lifts_only_when_the_gap_closes(monkeypatch, a):
+    # every lift that a guessed check makes meets its target, so the
+    # first one stops the ascent and gamma2_upper reuses it
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+    lifts = []
+
+    class Recording(_Lift):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lifts.append(self)
+
+    monkeypatch.setattr(module, "_Lift", Recording)
+    dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
+    assert len(lifts) == 1 and dual.lift is lifts[0]
+    assert lifts[0].cert[0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("a", [np.eye(5), np.array([[1.0], [-2.0], [0.5]])], ids=["eye5", "column3"])
+def test_easy_matrix_stops_early(monkeypatch, a):
+    # the ascent checked only at restarts and ran to its plateau: 167
+    # factorizations on eye(5) (five 1x1 blocks) and 41 on the column
+    calls = _count_factorizations(monkeypatch)
+    cert = gamma2(a)
+    assert cert.converged
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])

@@ -172,10 +172,11 @@ def _record_certify(monkeypatch):
 def test_refiner_certifies_each_shape_once(monkeypatch):
     shapes = _record_certify(monkeypatch)
     gamma2(PAIR8_SUM)
-    # the small-side lifts of the ascent's three gap checks (the last
-    # one's lift is reused as the closed-form candidate), then one per
-    # barrier stage
-    assert len(shapes) == 8
+    # the small-side lifts of the ascent's four gap checks, each one
+    # guessed to meet the target and each missing it (the last one's
+    # lift is reused as the closed-form candidate), then one per barrier
+    # stage
+    assert len(shapes) == 9
     for i, s in enumerate(shapes):
         assert not any(np.array_equal(s, o) for o in shapes[:i])
 

@@ -9,6 +9,7 @@ from g2d.linalg import (
     circulant_interval,
     circulant_interval_eigenvalues,
     determinant,
+    format_matrix,
     kron,
     nuclear_norm,
     one_to_two_norm,
@@ -339,6 +340,23 @@ def test_matrix_io_round_trip(tmp_path):
     back2, comments = read_matrix_with_comments(path)
     assert np.array_equal(back2, a)
     assert any("round-trip" in c for c in comments)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[-0.0, np.inf, -np.inf], [np.nan, 1e-300, -1e-300], [5e-324, 0.1, -2.5e17]]),
+        np.random.default_rng(21).standard_normal((14, 242))
+        * np.exp(np.random.default_rng(22).uniform(-600, 600, (14, 242))),
+        np.zeros((2, 0)),
+    ],
+    ids=["special", "random", "empty_rows"],
+)
+def test_format_matrix_matches_one_f_string_per_entry(a):
+    # the text that format_matrix wrote with one f-string per entry
+    m, n = a.shape
+    text = f"{m} {n}\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in a)
+    assert format_matrix(a) == text
 
 
 def test_matrix_io_header_and_comments(tmp_path):
