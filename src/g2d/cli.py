@@ -15,8 +15,9 @@ Subcommands mirror the report suite and the exact oracles:
     g2d oracle detlb2 --in matrix.txt --kmax 4
     g2d oracle discp --in matrix.txt --p 2 [--weights w.txt]
 
-Global flags (give them after the subcommand): --tol and
---budget-minutes. Exit codes: 0 success, 2 assertion or
+Flags given after the subcommand: --budget-minutes on every command,
+and --tol on the seven solver commands, not on ``oracle``, whose exact
+enumerations have no tolerance. Exit codes: 0 success, 2 assertion or
 validation failure, 3 refusal: a RefusedError (an input over a size cap
 or an enumeration budget) or an expired budget.
 
@@ -114,11 +115,15 @@ def _read_weights(path: str) -> np.ndarray:
     return read_matrix(path).reshape(-1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                     help=f"relative gap tolerance, a number >= 0 (default {DEFAULT_TOL:g})")
+def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-minutes", type=float, default=argparse.SUPPRESS,
                      help="hard wall-clock budget; exceeding it exits 3")
+
+
+def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                     help=f"relative gap tolerance, a number >= 0 (default {DEFAULT_TOL:g})")
+    _add_budget(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,39 +138,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", required=True, help="comma list, elision allowed")
     p.add_argument("--out", help="CSV path")
     p.add_argument("--certs-dir", help="directory for per-row certificates")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("ellipsoid", help="dump optimal ellipsoid and weights")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("tusnady", help="anchored-box grid report")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="CSV path")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("subcubes", help="subcube system report")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", help="CSV path")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("ap", help="arithmetic-progression report")
     p.add_argument("--ns", required=True)
     p.add_argument("--out", help="CSV path")
     p.add_argument("--certs-dir", help="directory for per-row certificates")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("audit", help="all bounds for one matrix or system")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--kmax", type=int, help="k cap for determinant bounds")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("solve", help="certified gamma_2 of a matrix file")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--out", help="certificate bundle path")
-    _add_common(p)
+    _add_solver_flags(p)
 
     p = subs.add_parser("oracle", help="exact brute-force oracles")
     osubs = p.add_subparsers(dest="oracle", required=True)
@@ -173,28 +178,28 @@ def build_parser() -> argparse.ArgumentParser:
     o = osubs.add_parser("disc", help="exact discrepancy")
     o.add_argument("--in", dest="path", required=True)
     o.add_argument("--coloring-out", help="write the optimal coloring")
-    _add_common(o)
+    _add_budget(o)
 
     o = osubs.add_parser("herdisc", help="exact hereditary discrepancy")
     o.add_argument("--in", dest="path", required=True)
-    _add_common(o)
+    _add_budget(o)
 
     o = osubs.add_parser("detlb", help="exact determinant lower bound")
     o.add_argument("--in", dest="path", required=True)
     o.add_argument("--kmax", type=int, required=True)
-    _add_common(o)
+    _add_budget(o)
 
     o = osubs.add_parser("detlb2", help="exact L2 determinant bound")
     o.add_argument("--in", dest="path", required=True)
     o.add_argument("--kmax", type=int, required=True)
-    _add_common(o)
+    _add_budget(o)
 
     o = osubs.add_parser("discp", help="exact Lp discrepancy")
     o.add_argument("--in", dest="path", required=True)
     o.add_argument("--p", required=True, help="p >= 1, or 'inf'")
     o.add_argument("--weights", help="row weight file (k x 1 matrix)")
     o.add_argument("--coloring-out", help="write the optimal coloring")
-    _add_common(o)
+    _add_budget(o)
 
     return parser
 

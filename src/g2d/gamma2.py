@@ -46,8 +46,10 @@ The solve path:
    only when that meets ``tol`` does the ascent make the lift, one more
    SVD and one eigendecomposition on top of DUAL_MAX_STEPS, and after
    a lift that misses, the next waits for a restart. It stops once a
-   lift's certified upper bound is within ``tol`` of its value, so step
-   3 then meets the gap, reusing that lift, and step 4 does not run;
+   lift's certified upper bound is within ``tol`` of its value. It
+   hands step 3 its best weights, their value and, when its last lift
+   was of exactly those weights, that lift's certificate, which step 3
+   then takes as it is; after a stop on the gap, step 4 does not run;
 3. the closed-form primal lift of the dual weights on the smaller side:
    the first-order conditions pair an optimal (p, q) with the optimal
    ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
@@ -81,6 +83,7 @@ from .linalg import (
     KRON_ENTRY_CAP,
     RefusedError,
     as_matrix,
+    as_weights,
     atomic_write,
     format_matrix,
     nuclear_norm,
@@ -172,26 +175,11 @@ class Gamma2Certificate:
         return self.upper - self.lower
 
 
-def _weights(a: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column weights for ``a`` as float vectors; raises
-    ValueError unless their lengths match its shape and their entries
-    are finite and nonnegative (up to -1e-12)."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if p.shape[0] != a.shape[0] or q.shape[0] != a.shape[1]:
-        raise ValueError("weight lengths must match the matrix shape")
-    if not (np.isfinite(p).all() and np.isfinite(q).all()):
-        raise ValueError("weights must be finite")
-    if (p < -1e-12).any() or (q < -1e-12).any():
-        raise ValueError("weights must be nonnegative")
-    return p, q
-
-
 def dual_value(a, p, q) -> float:
     """Nuclear norm of diag(p)^1/2 A diag(q)^1/2; a lower bound on
     gamma_2(A) for any probability vectors p, q."""
     a = as_matrix(a)
-    p, q = _weights(a, p, q)
+    p, q = as_weights(a, p, q)
     m = np.sqrt(np.clip(p, 0.0, None))[:, None] * a
     m = m * np.sqrt(np.clip(q, 0.0, None))[None, :]
     return nuclear_norm(m)
@@ -256,7 +244,7 @@ def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, va
     return math.sqrt(r * float(((az.T @ x)[live] / y[live]).max()))
 
 
-def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
     """Dual lower bound by extrapolated block-coordinate ascent on
     (Z, p, q).
 
@@ -298,9 +286,10 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     restart (a rejected extrapolation). With ``tol=None`` nothing is
     checked.
 
-    Returns the best iterate as (value, p, q); when the last lift made
-    was of those weights (or ones that differ only below the lift's
-    1e-12 floor), ``gamma2_upper`` given this triple reuses it.
+    Returns the best iterate as a ``_DualBound``: it unpacks as
+    (value, p, q), and when the last lift made was of this very
+    iterate, it carries that lift's certificate, which ``gamma2_upper``
+    then uses instead of lifting the weights again.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -308,7 +297,7 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
         _check_tol(tol)
     x, y = np.full(m, 1.0 / np.sqrt(m)), np.full(n, 1.0 / np.sqrt(n))
     if float(np.abs(a).max()) == 0.0:
-        return 0.0, x * x, y * y
+        return _DualBound(0.0, x * x, y * y, a, None)
     gram = min(m, n) > GRAM_MIN_SIDE
     # on the Gram path the final SVD of the best point is one of the steps
     steps = int(gram)
@@ -328,7 +317,9 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
         return float(s.sum()), a * (u @ vt)
 
     val, az = evaluate(x, y)
-    best, lift = (val, x, y), None
+    best = (val, x, y)
+    # the last lift's certificate and the iterate it lifted
+    cert = lifted = None
     armed = tol is not None
     prev = None
     beta = DUAL_BETA_RESET
@@ -341,8 +332,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
             if armed and best[1] is x:  # the current point is the best
                 target = _target(val, tol)
                 if _lift_guess(az, x, y, ay, val, target) <= target:
-                    lift = _Lift(a, x * x, y * y)
-                    if lift.cert[0] <= target:
+                    cert, lifted = _lift(a, x * x, y * y), x
+                    if cert[0] <= target:
                         break
                     armed = False
             fx = _unit(np.maximum(ay, 0.0))
@@ -372,9 +363,7 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> tuple[float, np.ndarray
     val, x, y = best
     if gram:  # the certified lower bound is an SVD value
         val = nuclear_norm(x[:, None] * a * y[None, :])
-    dual = _DualBound((val, x * x, y * y))
-    dual.a, dual.lift = a, lift
-    return dual
+    return _DualBound(val, x * x, y * y, a, cert if lifted is x else None)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,7 @@ def _floored(p: np.ndarray) -> np.ndarray:
     return pf / pf.sum()
 
 
-class _Lift:
+def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The primal lift of dual weights (p, q) on ``a``, on its small
     side, from one SVD and one ``certify``.
 
@@ -399,34 +388,26 @@ class _Lift:
     optimal SDP block to P^{-1/2} U Sigma U^T P^{-1/2}, and the
     column-side block to Q^{-1/2} V Sigma V^T Q^{-1/2}. Away from
     optimality these are merely candidate shapes; certification decides
-    their worth. ``cert`` is the ``certify`` result of the row-side shape
-    against ``a`` when m <= n, else of the column-side shape against
-    ``a.T``, whose factors the caller transposes.
+    their worth. Returns the ``certify`` result (value, D, B, C) of the
+    row-side shape against ``a`` when m <= n, else of the column-side
+    shape against ``a.T``, whose factors the caller transposes.
     """
-
-    def __init__(self, a: np.ndarray, p: np.ndarray, q: np.ndarray):
-        pf, qf = self.weights = _floored(p), _floored(q)
-        self.a = a
-        mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        w, root, pts = (vt.T, np.sqrt(qf), a.T) if a.shape[0] > a.shape[1] else (u, np.sqrt(pf), a)
-        self.cert = certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
-
-    def fits(self, a: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
-        """Whether this is the lift of (p, q) on a: weights that differ
-        only below the floor have the same lift."""
-        return np.array_equal(self.a, a) and all(
-            np.array_equal(w, _floored(v)) for w, v in zip(self.weights, (p, q))
-        )
+    pf, qf = _floored(p), _floored(q)
+    mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    w, root, pts = (vt.T, np.sqrt(qf), a.T) if a.shape[0] > a.shape[1] else (u, np.sqrt(pf), a)
+    return certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
 
 
 class _DualBound(tuple):
-    """The ascent's (value, p, q) for the matrix ``a``, which unpacks as
-    a plain triple. ``lift`` is the _Lift of the ascent's last gap
-    check, if any; it may belong to earlier weights."""
+    """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
+    unpacks as a plain triple. ``cert`` is the ``_lift`` certificate of
+    exactly these weights when the ascent made one, else None."""
 
-    a: np.ndarray | None = None
-    lift: _Lift | None = None
+    def __new__(cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None):
+        bound = super().__new__(cls, (value, p, q))
+        bound.a, bound.cert = a, cert
+        return bound
 
 
 def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
@@ -466,7 +447,7 @@ def gamma2_upper(
     a,
     *,
     tol: float = DEFAULT_TOL,
-    dual: tuple[float, np.ndarray, np.ndarray] | None = None,
+    dual: _DualBound | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
     """Certified upper bound on gamma_2(a).
 
@@ -480,35 +461,25 @@ def gamma2_upper(
     only when that misses lower / (1 - tol) and min(m, n) <=
     IP_SIDE_CAP, the interior point on the same side, kept if lower.
 
-    ``dual`` may carry a precomputed (value, p, q) triple to avoid
-    re-running the dual ascent; p and q must match the shape of ``a``
-    and be finite and nonnegative, else ValueError. When it is
-    ``gamma2_lower_dual``'s own result for this matrix, its value is
-    the lower bound and the lift that the ascent's last gap check
-    certified is reused. Otherwise ``value`` is ignored, and the lower
-    bound is the dual value of p and q, each floored at 1e-12 and
-    renormalized. Without ``dual`` the ascent runs with this ``tol``.
+    ``dual`` is either None, and the dual ascent runs with this ``tol``,
+    or ``gamma2_lower_dual``'s own result for this matrix, which spares
+    re-running it; anything else raises TypeError. Its value is the
+    lower bound, and its weights are lifted once unless it carries the
+    certificate of their lift.
     """
     a = as_matrix(a)
     m, n = a.shape
     _check_tol(tol)
     _check_ellipsoid_cap(m)
+    if dual is not None and not (isinstance(dual, _DualBound) and np.array_equal(dual.a, a)):
+        raise TypeError("dual must be gamma2_lower_dual's result for this matrix")
     if float(np.abs(a).max()) == 0.0:
         return 0.0, np.zeros((m, m)), np.zeros((m, 1)), np.zeros((1, n)), True
 
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
     lower, p, q = dual
-    p, q = _weights(a, p, q)
-    if not (isinstance(dual, _DualBound) and np.array_equal(dual.a, a)):
-        # only the ascent's own value is trusted; the floored weights
-        # are a probability pair whatever the caller passed, and the
-        # lift below is theirs
-        lower = dual_value(a, _floored(p), _floored(q))
-    lift = getattr(dual, "lift", None)
-    if lift is None or not lift.fits(a, p, q):
-        lift = _Lift(a, p, q)
-    best = lift.cert
+    best = _lift(a, p, q) if dual.cert is None else dual.cert
     target = _target(lower, tol)
 
     # interior-point refinement on the same small side; it returns the

@@ -57,6 +57,21 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def as_weights(a: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column weights for ``a`` as float vectors; raises
+    ValueError unless their lengths match its shape and their entries
+    are finite and nonnegative (up to -1e-12)."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    q = np.asarray(q, dtype=float).reshape(-1)
+    if p.shape[0] != a.shape[0] or q.shape[0] != a.shape[1]:
+        raise ValueError("weight lengths must match the matrix shape")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("weights must be finite")
+    if (p < -1e-12).any() or (q < -1e-12).any():
+        raise ValueError("weights must be nonnegative")
+    return p, q
+
+
 def kron(a, b, *, max_entries: int = KRON_ENTRY_CAP) -> np.ndarray:
     """Kronecker product with an explicit entry-count cap.
 

@@ -36,7 +36,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .linalg import RefusedError, as_matrix
+from .linalg import RefusedError, as_matrix, as_weights
 
 DISC_VARS_CAP = 26
 HERDISC_VARS_CAP = 16
@@ -326,12 +326,7 @@ def detlb_bucketing(a, p, q) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """
     a = as_matrix(a)
     m, n = a.shape
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if p.shape[0] != m or q.shape[0] != n:
-        raise ValueError("weight lengths must match the matrix shape")
-    if (p < -1e-12).any() or (q < -1e-12).any():
-        raise ValueError("weights must be nonnegative")
+    p, q = as_weights(a, p, q)
     wa = np.sqrt(np.clip(p, 0.0, None))[:, None] * a
     wa = wa * np.sqrt(np.clip(q, 0.0, None))[None, :]
     sig = np.linalg.svd(wa, compute_uv=False)

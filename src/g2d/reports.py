@@ -284,6 +284,11 @@ def tusnady_report(
 
     When the direct solve is infeasible the product value is still
     emitted with derived=1 flagging the indirect route.
+
+    ``product_value`` and ``product_lower`` are the d-th powers of
+    gamma_2(T_n)'s certified upper and lower bounds, which are within
+    ``tol`` of it, so each is within about d * ``tol`` of
+    gamma_2(T_n)^d, relative: upper^d <= lower^d / (1 - tol)^d.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")

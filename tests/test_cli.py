@@ -194,6 +194,16 @@ def test_budget_flag_accepted(tmp_path, capsys):
     assert code == 0
 
 
+def test_oracle_takes_no_tol(tmp_path, capsys):
+    # the exact oracles accepted --tol and ignored it
+    path = tmp_path / "t3.txt"
+    write_matrix(path, tn_matrix(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "disc", "--in", str(path), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert main(["oracle", "disc", "--in", str(path), "--budget-minutes", "5"]) == 0
+
+
 def test_seed_determinism_via_cli(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -20,7 +20,7 @@ from g2d.gamma2 import (
     DUAL_MAX_STEPS,
     CertificateError,
     _gram_polar,
-    _Lift,
+    _lift,
     _lift_guess,
     check_certificate,
     dual_value,
@@ -250,7 +250,7 @@ def test_lift_guess_is_the_lift_value(a):
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
     mat = x[:, None] * a * y[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    lifted = _Lift(a, x * x, y * y).cert[0]
+    lifted = _lift(a, x * x, y * y)[0]
     for val, z in ((s.sum(), u @ vt), _gram_polar(mat)):
         az = a * z
         guess = _lift_guess(az, x, y, az @ y, val, np.inf)
@@ -276,15 +276,14 @@ def test_ascent_lifts_only_when_the_gap_closes(monkeypatch, a):
     module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
     lifts = []
 
-    class Recording(_Lift):
-        def __init__(self, *args):
-            super().__init__(*args)
-            lifts.append(self)
+    def recording(*args):
+        lifts.append(_lift(*args))
+        return lifts[-1]
 
-    monkeypatch.setattr(module, "_Lift", Recording)
+    monkeypatch.setattr(module, "_lift", recording)
     dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
-    assert len(lifts) == 1 and dual.lift is lifts[0]
-    assert lifts[0].cert[0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
+    assert len(lifts) == 1 and dual.cert is lifts[0]
+    assert lifts[0][0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("a", [np.eye(5), np.array([[1.0], [-2.0], [0.5]])], ids=["eye5", "column3"])
@@ -449,8 +448,6 @@ def test_upper_rejects_weights_of_the_wrong_length():
     half = np.full(2, 0.5)
     for p, q in ((np.ones(1), half), (half, np.ones(3))):
         with pytest.raises(ValueError, match="length"):
-            gamma2_upper(a, dual=(1.0, p, q))
-        with pytest.raises(ValueError, match="length"):
             dual_value(a, p, q)
 
 
@@ -461,24 +458,19 @@ def test_upper_rejects_non_finite_weights():
     for bad in (np.array([np.nan, 1.0]), np.array([np.inf, 0.5])):
         for p, q in ((bad, half), (half, bad)):
             with pytest.raises(ValueError, match="finite"):
-                gamma2_upper(a, dual=(1.0, p, q))
-            with pytest.raises(ValueError, match="finite"):
                 dual_value(a, p, q)
 
 
-@pytest.mark.parametrize("scale", [(100.0, 1.0), (1.0, 100.0)])
-def test_upper_does_not_trust_a_caller_value(scale):
-    # an inflated value once made the lift of uniform weights (2.13
-    # against gamma_2 = 1.51) "converged"; weights that do not sum to 1
-    # must not inflate the value computed in its place either
-    t8 = tn_matrix(8)
+def test_upper_takes_only_the_ascents_own_bound():
+    # a caller's (value, p, q) once made the lift of uniform weights
+    # (2.13 against gamma_2 = 1.51) "converged" on an inflated value
+    t8, t7 = tn_matrix(8), tn_matrix(7)
     uniform = np.full(8, 1.0 / 8.0)
-    value_scale, weight_scale = scale
-    claimed = value_scale * dual_value(t8, uniform, uniform)
-    value, *_, converged = gamma2_upper(t8, dual=(claimed, weight_scale * uniform, uniform))
-    assert value <= 1.5105
-    assert not converged
-    assert value > dual_value(t8, uniform, uniform) / (1.0 - DEFAULT_TOL)
+    with pytest.raises(TypeError, match="gamma2_lower_dual"):
+        gamma2_upper(t8, dual=(dual_value(t8, uniform, uniform), uniform, uniform))
+    for other in (gamma2_lower_dual(t7), gamma2_lower_dual(2.0 * t8)):
+        with pytest.raises(TypeError, match="gamma2_lower_dual"):
+            gamma2_upper(t8, dual=other)
 
 
 def test_upper_rejects_negative_weights():
@@ -487,7 +479,7 @@ def test_upper_rejects_negative_weights():
     bad = np.array([1.5, -0.5])
     for p, q in ((bad, half), (half, bad)):
         with pytest.raises(ValueError, match="nonnegative"):
-            gamma2_upper(a, dual=(1.0, p, q))
+            dual_value(a, p, q)
 
 
 def test_gamma2_tol_zero_and_above_one():

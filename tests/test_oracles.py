@@ -350,6 +350,27 @@ def test_bucketing_rejects_rank_zero():
         detlb_bucketing(np.zeros((2, 2)), p, p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p, match",
+    [
+        (np.array([np.nan, 0.5, 0.25, 0.25]), "finite"),
+        (np.array([np.inf, 0.0, 0.0, 0.0]), "finite"),
+        (np.full(3, 1.0 / 3.0), "length"),
+        (np.array([1.5, -0.5, 0.0, 0.0]), "nonnegative"),
+    ],
+    ids=["nan", "inf", "length", "negative"],
+)
+def test_bucketing_rejects_bad_weights(p, match):
+    # a NaN or inf weight once raised LinAlgError("SVD did not converge")
+    # after a RuntimeWarning
+    t4 = tn_matrix(4)
+    uniform = np.full(4, 0.25)
+    for rows, cols in ((p, uniform), (uniform, p)):
+        with pytest.raises(ValueError, match=match):
+            detlb_bucketing(t4, rows, cols)
+
+
 def test_detlb_vs_herdisc_and_gamma2():
     rng = np.random.default_rng(52)
     for _ in range(5):
