@@ -42,7 +42,9 @@ RANGE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Dual-form ellipsoid E(D); D is validated and symmetrized on build."""
+    """Dual-form ellipsoid E(D). D is checked for shape and symmetry and
+    symmetrized on build; its eigendecomposition, which refuses a D that
+    is not PSD, is made on the first use of ``spectrum`` and cached."""
 
     d: np.ndarray
 
@@ -53,29 +55,27 @@ class Ellipsoid:
         fro = np.linalg.norm(d)
         if np.linalg.norm(d - d.T) > SYM_RTOL * max(fro, 1e-300):
             raise ValueError("ellipsoid matrix is not symmetric")
-        d = 0.5 * (d + d.T)
-        lam, vec = np.linalg.eigh(d)
-        lmax = float(lam[-1]) if lam.size else 0.0
-        if lmax < 0.0:
-            raise ValueError("ellipsoid matrix is negative definite")
-        floor = -EIG_CLIP_RTOL * max(lmax, 0.0)
-        if float(lam[0]) < floor - 1e-300:
-            raise ValueError(
-                f"eigenvalue {lam[0]:.3e} below clip floor {floor:.3e}; not PSD"
-            )
-        lam = np.clip(lam, 0.0, None)
-        d = (vec * lam) @ vec.T
-        d = 0.5 * (d + d.T)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_vec", vec)
+        object.__setattr__(self, "d", 0.5 * (d + d.T))
 
     @property
     def dim(self) -> int:
         return self.d.shape[0]
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._lam, self._vec
+        """The eigenvalues of D, clipped at 0, and its eigenvectors.
+        Raises ValueError unless D is PSD up to EIG_CLIP_RTOL."""
+        if "_spectrum" not in self.__dict__:
+            lam, vec = np.linalg.eigh(self.d)
+            lmax = float(lam[-1]) if lam.size else 0.0
+            if lmax < 0.0:
+                raise ValueError("ellipsoid matrix is negative definite")
+            floor = -EIG_CLIP_RTOL * lmax
+            if float(lam[0]) < floor - 1e-300:
+                raise ValueError(
+                    f"eigenvalue {lam[0]:.3e} below clip floor {floor:.3e}; not PSD"
+                )
+            object.__setattr__(self, "_spectrum", (np.clip(lam, 0.0, None), vec))
+        return self._spectrum
 
 
 def ellipsoid_inf_norm(e: Ellipsoid) -> float:

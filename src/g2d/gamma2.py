@@ -21,8 +21,14 @@ Every routine here returns certified quantities:
 
 * lower bounds are nuclear norms of explicitly weighted matrices
   (any feasible (p, q) certifies);
-* upper bounds come from explicit ellipsoids that are re-checked for
-  containment of every column, never from unverified solver output.
+* upper bounds come from explicit factorizations A = B C whose
+  ellipsoid D = upper * B B^T contains every column a_j = B c_j
+  because ||c_j||^2 <= upper; the check re-verifies B C = A, the norms
+  of B and C and D against upper * B B^T, never trusting solver output.
+  D is PSD by construction, so neither the solve nor the check
+  eigendecomposes it: an ``Ellipsoid`` validates its D only when its
+  spectrum is first used, by ``membership_value`` or
+  ``ellipsoid_contains``.
 
 The solve path:
 
@@ -40,7 +46,8 @@ The solve path:
    whose small side exceeds GRAM_MIN_SIDE it is one eigendecomposition
    of the small-side Gram matrix, or an SVD once that matrix has been
    ill conditioned, and the best point's value is recomputed by one
-   more SVD, counted as an evaluation; on smaller blocks it is one SVD.
+   more SVD, counted as an evaluation, unless the ascent's last lift
+   was made there; on smaller blocks it is one SVD.
    At each new best point, the step's own matrix-vector products give
    the value that the small-side lift of step 3 would certify there;
    only when that meets ``tol`` does the ascent make the lift, one more
@@ -48,7 +55,7 @@ The solve path:
    a lift that misses, the next waits for a restart. It stops once a
    lift's certified upper bound is within ``tol`` of its value. It
    hands step 3 its best weights, their value and, when its last lift
-   was of exactly those weights, that lift's certificate, which step 3
+   was of those weights, that lift's certificate, which step 3
    then takes as it is; after a stop on the gap, step 4 does not run;
 3. the closed-form primal lift of the dual weights on the smaller side:
    the first-order conditions pair an optimal (p, q) with the optimal
@@ -77,7 +84,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, certify, ellipsoid_inf_norm, membership_value
+# membership_value is no longer called here, but the benchmark's tracer
+# wraps it as an attribute of this module
+from .ellipsoid import Ellipsoid, certify, ellipsoid_inf_norm, membership_value  # noqa: F401
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
@@ -130,10 +139,10 @@ GRAM_RCOND = 1e-10
 IP_SIDE_CAP = 32
 
 # Relative slack of the certificate checks (weak duality, factor norms,
-# factorization identity B C = A, ellipsoid inf-norm, column
-# membership): float64 rounding in the checks' own arithmetic, never the
-# solver's gap tolerance. Real certificates exceed their bounds by at
-# most about 1.6e-11 relative.
+# factorization identity B C = A, ellipsoid inf-norm, D against
+# upper * B B^T, column norms of C): float64 rounding in the checks' own
+# arithmetic, never the solver's gap tolerance. Real certificates exceed
+# their bounds by at most about 1.6e-11 relative.
 CHECK_RTOL = 1e-8
 
 # Slack of the check that the certificate's own weights do not certify
@@ -152,7 +161,8 @@ class Gamma2Certificate:
 
     upper: certified upper bound (the solved value).
     lower: certified lower bound from the dual weights.
-    ellipsoid: E(D) containing every column of A, max diag(D) = upper^2.
+    ellipsoid: E(D) with D = upper * B B^T, which contains every column
+        of A, and max diag(D) = upper^2.
     factor_left/factor_right: balanced factorization A = B C with
         max row norm of B and max column norm of C both <= sqrt(upper)
         up to tolerance.
@@ -177,9 +187,12 @@ class Gamma2Certificate:
 
 def dual_value(a, p, q) -> float:
     """Nuclear norm of diag(p)^1/2 A diag(q)^1/2; a lower bound on
-    gamma_2(A) for any probability vectors p, q."""
+    gamma_2(A) for any probability vectors p, q. Raises ValueError
+    unless p and q are nonnegative and each sums to 1 within 1e-9."""
     a = as_matrix(a)
     p, q = as_weights(a, p, q)
+    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1")
     m = np.sqrt(np.clip(p, 0.0, None))[:, None] * a
     m = m * np.sqrt(np.clip(q, 0.0, None))[None, :]
     return nuclear_norm(m)
@@ -269,7 +282,9 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
     iterate is feasible, hence a valid lower bound, and the values do
     not decrease. On the Gram path the returned value is recomputed by
     one SVD of the best point, so that the certified lower bound is an
-    SVD value; that SVD is one of the evaluations.
+    SVD value; that SVD is one of the evaluations. When the last lift
+    was of the best point, its own SVD gives that value instead, and
+    the weights returned are the floored ones it was made at.
 
     The ascent makes at most DUAL_MAX_STEPS evaluations, and stops
     earlier once DUAL_PLATEAU steps in a row have not raised its best
@@ -318,8 +333,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
 
     val, az = evaluate(x, y)
     best = (val, x, y)
-    # the last lift's certificate and the iterate it lifted
-    cert = lifted = None
+    # the last lift and the iterate it lifted
+    lift = lifted = None
     armed = tol is not None
     prev = None
     beta = DUAL_BETA_RESET
@@ -332,8 +347,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
             if armed and best[1] is x:  # the current point is the best
                 target = _target(val, tol)
                 if _lift_guess(az, x, y, ay, val, target) <= target:
-                    cert, lifted = _lift(a, x * x, y * y), x
-                    if cert[0] <= target:
+                    lift, lifted = _lift(a, x * x, y * y), x
+                    if lift[0][0] <= target:
                         break
                     armed = False
             fx = _unit(np.maximum(ay, 0.0))
@@ -361,9 +376,12 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
             if val > best[0]:
                 best = (val, x, y)
     val, x, y = best
-    if gram:  # the certified lower bound is an SVD value
-        val = nuclear_norm(x[:, None] * a * y[None, :])
-    return _DualBound(val, x * x, y * y, a, cert if lifted is x else None)
+    cert, point = lift if lifted is x else (None, None)
+    if not gram:
+        point = (val, x * x, y * y)
+    elif point is None:  # the certified lower bound is an SVD value
+        point = (nuclear_norm(x[:, None] * a * y[None, :]), x * x, y * y)
+    return _DualBound(*point, a, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +397,7 @@ def _floored(p: np.ndarray) -> np.ndarray:
     return pf / pf.sum()
 
 
-def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]]:
     """The primal lift of dual weights (p, q) on ``a``, on its small
     side, from one SVD and one ``certify``.
 
@@ -390,19 +408,23 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarra
     optimality these are merely candidate shapes; certification decides
     their worth. Returns the ``certify`` result (value, D, B, C) of the
     row-side shape against ``a`` when m <= n, else of the column-side
-    shape against ``a.T``, whose factors the caller transposes.
+    shape against ``a.T``, whose factors the caller transposes, and the
+    dual point (sum(Sigma), pf, qf) of the floored weights pf, qf that
+    the SVD was made at: sum(Sigma) is ``dual_value(a, pf, qf)``.
     """
     pf, qf = _floored(p), _floored(q)
     mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     w, root, pts = (vt.T, np.sqrt(qf), a.T) if a.shape[0] > a.shape[1] else (u, np.sqrt(pf), a)
-    return certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
+    cert = certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
+    return cert, (float(s.sum()), pf, qf)
 
 
 class _DualBound(tuple):
     """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
-    unpacks as a plain triple. ``cert`` is the ``_lift`` certificate of
-    exactly these weights when the ascent made one, else None."""
+    unpacks as a plain triple. ``cert`` is the certificate of the
+    ``_lift`` of these weights (up to its 1e-12 floor) when the ascent
+    made one, else None."""
 
     def __new__(cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None):
         bound = super().__new__(cls, (value, p, q))
@@ -479,7 +501,7 @@ def gamma2_upper(
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
     lower, p, q = dual
-    best = _lift(a, p, q) if dual.cert is None else dual.cert
+    best = _lift(a, p, q)[0] if dual.cert is None else dual.cert
     target = _target(lower, tol)
 
     # interior-point refinement on the same small side; it returns the
@@ -526,29 +548,33 @@ def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
 
     ``parts`` holds (rows, cols, (lower, p, q), (upper, D, B, C)) for
     blocks A[rows][:, cols] on disjoint rows and columns that hold
-    every nonzero of A. D and the factors are block-diagonal, as in
-    block_diag_ellipsoid, so the upper bound is the max of the blocks'.
-    The weights are those of the block with the best lower bound, zero
-    elsewhere, and certify that lower bound for A.
+    every nonzero of A, each with D = upper * B B^T. D and the factors
+    are block-diagonal, as in block_diag_ellipsoid, so the upper bound
+    is the max of the blocks'. A block's B is scaled by
+    sqrt(its upper / upper) and its C by the inverse, so that D =
+    upper * B B^T still holds, and no row of B or column of C has a
+    norm above sqrt(upper). The weights are those of the block with the
+    best lower bound, zero elsewhere, and certify that lower bound for
+    A.
     """
     m, n = a.shape
     k = sum(up[2].shape[1] for *_, up in parts)
+    upper = max(up[0] for *_, up in parts)
     d = np.zeros((m, m))
     b = np.zeros((m, k))
     c = np.zeros((k, n))
     at = 0
-    for rows, cols, _, (_, dd, bb, cc) in parts:
+    for rows, cols, _, (value, dd, bb, cc) in parts:
         width = bb.shape[1]
         d[np.ix_(rows, rows)] = dd
-        b[rows, at : at + width] = bb
-        c[at : at + width, cols] = cc
+        b[rows, at : at + width] = bb * math.sqrt(value / upper)
+        c[at : at + width, cols] = cc * math.sqrt(upper / value)
         at += width
     rows, cols, (lower, pp, qq), _ = max(parts, key=lambda part: part[2][0])
     p = np.zeros(m)
     p[rows] = pp
     q = np.zeros(n)
     q[cols] = qq
-    upper = max(up[0] for *_, up in parts)
     return Gamma2Certificate(
         upper=upper,
         lower=lower,
@@ -633,12 +659,10 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
 
     # the weights first: a bound scaled below what they certify is
     # reported as such, not as the factor-norm excess it also causes
-    if (p < -1e-12).any() or (q < -1e-12).any():
-        raise CertificateError("dual weights must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        if cert.upper > 0:  # zero certificate keeps uniform weights
-            raise CertificateError("dual weights must sum to 1")
-    lb = dual_value(a, p, q)
+    try:
+        lb = dual_value(a, p, q)
+    except ValueError as err:  # negative weights, or sums off 1
+        raise CertificateError(f"dual {err}") from None
     if cert.lower > lb + CHECK_RTOL * scale:
         raise CertificateError(
             f"stored lower {cert.lower} not reproduced by weights ({lb})"
@@ -674,7 +698,17 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
         raise CertificateError(
             f"ellipsoid inf-norm {inf_norm} above upper {cert.upper}"
         )
-    worst = float(np.max(membership_value(cert.ellipsoid, a)))
+    # each column a_j = B c_j lies in E(upper * B B^T) when ||c_j||^2 <=
+    # upper: z^T a_j = (B^T z)^T c_j <= ||c_j|| * sqrt(z^T B B^T z)
+    shape = cert.upper * (b @ b.T)
+    off = float(np.linalg.norm(cert.ellipsoid.d - shape))
+    if off > CHECK_RTOL * float(np.linalg.norm(shape)):
+        raise CertificateError(
+            f"column membership unproven: ||D - upper * B B^T||_F = {off:.3e} "
+            f"above {CHECK_RTOL:.1e} * ||upper * B B^T||_F"
+        )
+    col = float(np.max(np.sum(c * c, axis=0)))
+    worst = col / cert.upper if cert.upper > 0 else (np.inf if col > 0 else 0.0)
     if fro > 0 and worst > 1.0 + CHECK_RTOL:
         raise CertificateError(
             f"column membership value {worst} above 1 + {CHECK_RTOL:.1e}"

@@ -189,6 +189,21 @@ def test_ascent_stops_on_certified_gap(monkeypatch):
     assert 0 < len(calls) <= standalone // 2
 
 
+def test_ascent_takes_its_lower_bound_from_its_last_lift(monkeypatch):
+    # on the Gram path the ascent re-ran an SVD of the best point for
+    # its certified value, 2 SVDs on T_32; when its last lift was made
+    # at that point, the lift's own SVD gives the value of the floored
+    # weights it returns
+    calls = _count_factorizations(monkeypatch)
+    t32 = tn_matrix(32)
+    dual = gamma2_lower_dual(t32, tol=DEFAULT_TOL)
+    assert dual.cert is not None
+    assert calls.count("svd") == 1
+    value, p, q = dual
+    assert abs(value - dual_value(t32, p, q)) <= 1e-13 * value
+    assert abs(p.sum() - 1.0) <= 1e-12 and abs(q.sum() - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -250,7 +265,7 @@ def test_lift_guess_is_the_lift_value(a):
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
     mat = x[:, None] * a * y[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    lifted = _lift(a, x * x, y * y)[0]
+    lifted = _lift(a, x * x, y * y)[0][0]
     for val, z in ((s.sum(), u @ vt), _gram_polar(mat)):
         az = a * z
         guess = _lift_guess(az, x, y, az @ y, val, np.inf)
@@ -282,8 +297,8 @@ def test_ascent_lifts_only_when_the_gap_closes(monkeypatch, a):
 
     monkeypatch.setattr(module, "_lift", recording)
     dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
-    assert len(lifts) == 1 and dual.cert is lifts[0]
-    assert lifts[0][0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
+    assert len(lifts) == 1 and dual.cert is lifts[0][0]
+    assert lifts[0][0][0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("a", [np.eye(5), np.array([[1.0], [-2.0], [0.5]])], ids=["eye5", "column3"])
@@ -427,6 +442,25 @@ def test_gamma2_builds_one_ellipsoid(monkeypatch):
         built.clear()
         cert = gamma2(mat)
         assert len(built) == 1 and built[0] is cert.ellipsoid
+
+
+def test_split_certificate_ellipsoid_is_upper_times_b_bt():
+    # blocks with gamma_2 of T_4, J_{3x4} = 1 and T_2: each block's
+    # factors are rescaled to the largest, so D = upper * B B^T holds
+    # for the assembled certificate with its balance bounds
+    a = np.zeros((9, 10))
+    a[:4, :4] = tn_matrix(4)
+    a[4:7, 4:8] = 1.0
+    a[7:, 8:] = tn_matrix(2)
+    cert = gamma2(a)
+    uppers = [gamma2(a[:4, :4]).upper, gamma2(a[4:7, 4:8]).upper, gamma2(a[7:, 8:]).upper]
+    assert cert.upper == max(uppers) and min(uppers) < 0.9 * max(uppers)
+    b, c = cert.factor_left, cert.factor_right
+    shape = cert.upper * (b @ b.T)
+    assert np.linalg.norm(cert.ellipsoid.d - shape) <= 1e-13 * np.linalg.norm(shape)
+    assert (b * b).sum(axis=1).max() <= cert.upper * (1.0 + 1e-12)
+    assert (c * c).sum(axis=0).max() <= cert.upper * (1.0 + 1e-12)
+    check_certificate(cert, a)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-4, -np.inf])
@@ -638,6 +672,72 @@ def test_certificate_checker_rejects_wrong_matrix():
         check_certificate(cert, C1 + 1.0)
 
 
+def test_dual_value_refuses_unnormalized_weights():
+    # 100x the uniform row weights once gave 14.38 on T_8, whose
+    # gamma_2 is 1.51
+    t8 = tn_matrix(8)
+    u = np.full(8, 1.0 / 8.0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        dual_value(t8, 100.0 * u, u)
+    with pytest.raises(ValueError, match="sum to 1"):
+        dual_value(t8, u, u * (1.0 + 1e-8))
+    assert abs(dual_value(t8, u, u) - nuclear_norm(t8) / 8.0) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 2)), C1], ids=["zero", "C1"])
+def test_zero_upper_certificate_with_unnormalized_weights(a):
+    # a certificate error, not the ValueError of dual_value
+    m, n = a.shape
+    zero = gamma2(np.zeros((m, n)))
+    check_certificate(zero, np.zeros((m, n)))
+    bad = dataclasses.replace(zero, dual_p=2.0 * zero.dual_p)
+    with pytest.raises(CertificateError, match="sum to 1"):
+        check_certificate(bad, a)
+
+
+def _recording_eigh(monkeypatch):
+    """The shapes of every np.linalg.eigh call."""
+    shapes = []
+    original = np.linalg.eigh
+
+    def recording(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+def test_certificate_membership_needs_no_eigendecomposition(monkeypatch):
+    # the check proves membership from D = upper * B B^T and the
+    # column norms of C, and the solve builds D from the factors: the
+    # 158x24 solve once made a 158x158 eigh for its ellipsoid
+    shapes = _recording_eigh(monkeypatch)
+    for a in (maximal_aps(24).large_difference.incidence, tn_matrix(8), C1):
+        shapes.clear()
+        cert = gamma2(a)
+        assert shapes and max(max(s) for s in shapes) <= min(a.shape)
+        shapes.clear()
+        report = check_certificate(cert, a)
+        assert shapes == []
+        assert report["worst_membership"] <= 1.0 + 1e-12
+
+
+def test_certificate_checker_rejects_negative_direction_off_the_columns():
+    # D - s v v^T with v orthogonal to every column still holds the
+    # columns and keeps diag D below upper^2, but it is not PSD, so
+    # E(D) is no ellipsoid; the factors do not reproduce it
+    a = maximal_aps(24).large_difference.incidence
+    cert = gamma2(a)
+    v = np.linalg.svd(a)[0][:, -1]  # 158 rows, rank at most 24
+    assert np.abs(v @ a).max() <= 1e-12
+    d = cert.ellipsoid.d - cert.upper**2 * np.outer(v, v)
+    assert np.linalg.eigvalsh(d)[0] < -0.5 * cert.upper**2
+    bad = dataclasses.replace(cert, ellipsoid=Ellipsoid(d))
+    with pytest.raises(CertificateError, match="membership"):
+        check_certificate(bad, a)
+
+
 def test_certificate_io_round_trip(tmp_path):
     cert = gamma2(C1)
     path = tmp_path / "cert.txt"
@@ -647,9 +747,9 @@ def test_certificate_io_round_trip(tmp_path):
     assert back.lower == cert.lower
     assert back.gap == cert.gap
     assert back.converged == cert.converged
-    # the ellipsoid re-projects on construction, so D is equal only up
-    # to one eigh round-off; the raw arrays below round-trip exactly
-    assert np.max(np.abs(back.ellipsoid.d - cert.ellipsoid.d)) < 1e-14
+    # the ellipsoid stores its symmetrized D, which the text format
+    # round-trips exactly, as it does the raw arrays below
+    assert np.array_equal(back.ellipsoid.d, cert.ellipsoid.d)
     assert np.array_equal(back.factor_left, cert.factor_left)
     assert np.array_equal(back.factor_right, cert.factor_right)
     assert np.array_equal(back.dual_p, cert.dual_p)
@@ -756,6 +856,17 @@ def test_ellipsoid_contains_rejects_out_of_range():
     assert ellipsoid_contains(flat, np.array([1.0, 0.0]))
     assert not ellipsoid_contains(flat, np.array([0.0, 1.0]))
     assert not ellipsoid_contains(flat, np.array([0.0, 1e-3]))
+
+
+def test_ellipsoid_contains_refuses_a_matrix_that_is_not_psd():
+    # built without an eigendecomposition, the ellipsoid is validated
+    # on the first use of its spectrum
+    e = Ellipsoid(np.diag([1.0, -1.0]))
+    for v in (np.zeros(2), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="not PSD"):
+            ellipsoid_contains(e, v)
+    with pytest.raises(ValueError, match="negative definite"):
+        membership_value(Ellipsoid(-np.eye(2)), np.zeros(2))
 
 
 def test_ellipsoid_sum_zero_identity():
