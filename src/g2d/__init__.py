@@ -6,8 +6,9 @@ The central quantity is the factorization norm
 
 equivalently the least L-infinity norm of a 0-centered ellipsoid
 containing the columns of A. The package computes certified two-sided
-estimates of it (every upper bound backed by an explicit ellipsoid and
-factorization, every lower bound by explicit dual weights), derives
+estimates of it (every upper bound backed by an explicit factorization,
+which defines its ellipsoid, every lower bound by explicit dual
+weights), derives
 discrepancy bounds from them, and ships exact brute-force oracles and
 reproduction reports for canonical set systems: initial segments,
 anchored grid boxes, Boolean subcubes, and arithmetic progressions.

@@ -17,9 +17,9 @@ composes well with the bound calculus:
 
 ``certify`` turns any candidate shape into a certificate for the
 columns of a matrix A: it scales the shape until every column fits and
-returns the value max_i sqrt(D_ii), the ellipsoid D and the balanced
-factors A = B C with D = value * B B^T, all from one eigendecomposition.
-Every upper bound on gamma_2 in the package comes from it.
+returns the value max_i sqrt(D_ii) and the balanced factors A = B C
+with D = value * B B^T, all from one eigendecomposition. Every upper
+bound on gamma_2 in the package comes from it.
 """
 
 from __future__ import annotations
@@ -149,28 +149,30 @@ _REG_RTOL = 1e-12
 def certify(a: np.ndarray, shape: np.ndarray):
     """The certificate an ellipsoid shape gives for the columns of a.
 
-    Returns (value, D, B, C) from one eigendecomposition of the
+    Returns (value, B, C) from one eigendecomposition of the
     symmetrized shape V (L + reg) V^T, with the ridge reg making it full
     rank. With eta the largest quadratic form of a column against it,
     D = eta V (L + reg) V^T contains every column of a and has max
-    diag D = value^2, so value bounds gamma_2(a) from above. The factors
-    B = V S and C = S^-1 V^T a with S = diag(sqrt(eta (L + reg) / value))
-    reproduce a, B B^T = D / value, and every row of B and column of C
+    diag D = value^2, so value bounds gamma_2(a) from above; D, of the
+    shape's order, is formed only for its diagonal and not returned.
+    The factors B = V S and C = S^-1 V^T a with
+    S = diag(sqrt(eta (L + reg) / value)) reproduce a,
+    value * B B^T = D, and every row of B and column of C
     has norm at most sqrt(value). A shape with no positive eigenvalue
-    certifies nothing: (inf, None, None, None).
+    certifies nothing: (inf, None, None).
     """
     shape = 0.5 * (shape + shape.T)
     lam, vec = np.linalg.eigh(shape)
     lmax = float(lam[-1]) if lam.size else 0.0
     if lmax <= 0.0:
-        return np.inf, None, None, None
+        return np.inf, None, None
     lam = np.clip(lam, 0.0, None) + _REG_RTOL * lmax
     w = vec.T @ a
     eta = float(np.max(np.sum(w * w / lam[:, None], axis=0)))
     if eta <= 0.0:  # a == 0
         m, n = a.shape
-        return 0.0, np.zeros_like(shape), np.zeros((m, 1)), np.zeros((1, n))
+        return 0.0, np.zeros((m, 1)), np.zeros((1, n))
     d = eta * ((vec * lam) @ vec.T)
     value = float(np.sqrt(float(np.max(np.diag(d)))))
     root = np.sqrt(eta * lam / value)
-    return value, d, vec * root, w / root[:, None]
+    return value, vec * root, w / root[:, None]

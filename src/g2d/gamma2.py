@@ -21,14 +21,13 @@ Every routine here returns certified quantities:
 
 * lower bounds are nuclear norms of explicitly weighted matrices
   (any feasible (p, q) certifies);
-* upper bounds come from explicit factorizations A = B C whose
-  ellipsoid D = upper * B B^T contains every column a_j = B c_j
-  because ||c_j||^2 <= upper; the check re-verifies B C = A, the norms
-  of B and C and D against upper * B B^T, never trusting solver output.
-  D is PSD by construction, so neither the solve nor the check
-  eigendecomposes it: an ``Ellipsoid`` validates its D only when its
-  spectrum is first used, by ``membership_value`` or
-  ``ellipsoid_contains``.
+* upper bounds are explicit factorizations A = B C. The ellipsoid
+  E(upper * B B^T) contains every column a_j = B c_j once
+  ||c_j||^2 <= upper, and its height is at most upper once every row
+  of B has ||B_i||^2 <= upper; the check re-verifies B C = A and those
+  two norm bounds, never trusting solver output. The certificate is
+  its factors: no solve, check or file holds the m x m ellipsoid,
+  which ``Gamma2Certificate.ellipsoid`` builds only when it is read.
 
 The solve path:
 
@@ -61,10 +60,9 @@ The solve path:
    the first-order conditions pair an optimal (p, q) with the optimal
    ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
    with its column-side analogue for the rows. ``ellipsoid.certify``
-   turns that shape into its value, its ellipsoid D and balanced
-   factors A = B C with D = value * B B^T, from one eigendecomposition;
-   on a tall A the shape encloses the rows, so its factors are
-   transposed into those of A, and D is rebuilt from them;
+   turns that shape into its value and balanced factors A = B C, from
+   one eigendecomposition; on a tall A the shape encloses the rows, so
+   its factors are transposed into those of A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
    same side, only while the certified gap exceeds the requested
    tolerance and that side is small enough. It certifies the ellipsoid
@@ -86,7 +84,7 @@ import numpy as np
 
 # membership_value is no longer called here, but the benchmark's tracer
 # wraps it as an attribute of this module
-from .ellipsoid import Ellipsoid, certify, ellipsoid_inf_norm, membership_value  # noqa: F401
+from .ellipsoid import Ellipsoid, certify, membership_value  # noqa: F401
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
@@ -96,9 +94,7 @@ from .linalg import (
     atomic_write,
     format_matrix,
     nuclear_norm,
-    one_to_two_norm,
     parse_matrix,
-    two_to_infinity_norm,
 )
 
 # Relative tolerance on the certified upper/lower gap.
@@ -138,11 +134,10 @@ GRAM_RCOND = 1e-10
 # Largest small-side dimension passed to the interior-point refiner.
 IP_SIDE_CAP = 32
 
-# Relative slack of the certificate checks (weak duality, factor norms,
-# factorization identity B C = A, ellipsoid inf-norm, D against
-# upper * B B^T, column norms of C): float64 rounding in the checks' own
-# arithmetic, never the solver's gap tolerance. Real certificates exceed
-# their bounds by at most about 1.6e-11 relative.
+# Relative slack of the certificate checks (weak duality, factorization
+# identity B C = A, row norms of B, column norms of C): float64 rounding
+# in the checks' own arithmetic, never the solver's gap tolerance. Real
+# certificates exceed their bounds by at most about 1.6e-11 relative.
 CHECK_RTOL = 1e-8
 
 # Slack of the check that the certificate's own weights do not certify
@@ -161,19 +156,18 @@ class Gamma2Certificate:
 
     upper: certified upper bound (the solved value).
     lower: certified lower bound from the dual weights.
-    ellipsoid: E(D) with D = upper * B B^T, which contains every column
-        of A, and max diag(D) = upper^2.
     factor_left/factor_right: balanced factorization A = B C with
         max row norm of B and max column norm of C both <= sqrt(upper)
-        up to tolerance.
+        up to tolerance; they are the proof of ``upper``.
     dual_p/dual_q: the probability weights certifying ``lower``.
     converged: whether upper <= lower / (1 - tol) was reached.
     gap: the property upper - lower.
+    ellipsoid: the property E(upper * B B^T), built on each read; it
+        contains every column of A, and max diag = upper^2.
     """
 
     upper: float
     lower: float
-    ellipsoid: Ellipsoid
     factor_left: np.ndarray
     factor_right: np.ndarray
     dual_p: np.ndarray
@@ -183,6 +177,18 @@ class Gamma2Certificate:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
+
+    @property
+    def ellipsoid(self) -> Ellipsoid:
+        """E(upper * B B^T). Raises RefusedError when its m x m matrix
+        would have more than KRON_ENTRY_CAP entries."""
+        b = self.factor_left
+        m = b.shape[0]
+        if m * m > KRON_ENTRY_CAP:
+            raise RefusedError(
+                f"certificate ellipsoid would have {m * m} entries, cap is {KRON_ENTRY_CAP}"
+            )
+        return Ellipsoid(self.upper * (b @ b.T))
 
 
 def dual_value(a, p, q) -> float:
@@ -386,8 +392,8 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
 
 # ---------------------------------------------------------------------------
 # Upper bounds: the lift and the refiner each give an ellipsoid shape
-# (any scale), and ellipsoid.certify turns it into the certified value,
-# the ellipsoid and the balanced factors.
+# (any scale), and ellipsoid.certify turns it into the certified value
+# and the balanced factors.
 # ---------------------------------------------------------------------------
 
 def _floored(p: np.ndarray) -> np.ndarray:
@@ -406,7 +412,7 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[flo
     optimal SDP block to P^{-1/2} U Sigma U^T P^{-1/2}, and the
     column-side block to Q^{-1/2} V Sigma V^T Q^{-1/2}. Away from
     optimality these are merely candidate shapes; certification decides
-    their worth. Returns the ``certify`` result (value, D, B, C) of the
+    their worth. Returns the ``certify`` result (value, B, C) of the
     row-side shape against ``a`` when m <= n, else of the column-side
     shape against ``a.T``, whose factors the caller transposes, and the
     dual point (sum(Sigma), pf, qf) of the floored weights pf, qf that
@@ -436,7 +442,6 @@ def _zero_certificate(m: int, n: int) -> Gamma2Certificate:
     return Gamma2Certificate(
         upper=0.0,
         lower=0.0,
-        ellipsoid=Ellipsoid(np.zeros((m, m))),
         factor_left=np.zeros((m, 1)),
         factor_right=np.zeros((1, n)),
         dual_p=np.full(m, 1.0 / m),
@@ -457,25 +462,17 @@ def _target(lower: float, tol: float) -> float:
     return lower / (1.0 - tol) if tol < 1.0 else np.inf
 
 
-def _check_ellipsoid_cap(m: int) -> None:
-    if m * m > KRON_ENTRY_CAP:
-        raise RefusedError(
-            f"certificate ellipsoid would have {m * m} entries, "
-            f"cap is {KRON_ENTRY_CAP}; transpose or use bound-only routines"
-        )
-
-
 def gamma2_upper(
     a,
     *,
     tol: float = DEFAULT_TOL,
     dual: _DualBound | None = None,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
+) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """Certified upper bound on gamma_2(a).
 
-    Returns (value, D, B, C, converged), as ``certify`` does plus the
-    flag: E(D) contains every column of ``a`` and max diag(D) = value^2;
-    A = B C with balanced norm bounds. ``converged`` is False when value
+    Returns (value, B, C, converged), as ``certify`` does plus the
+    flag: A = B C with balanced norm bounds, so E(value * B B^T)
+    contains every column of ``a`` and has height value. ``converged`` is False when value
     is above lower / (1 - tol), with ``tol`` >= 0, after the refiner (the
     value is still a valid upper bound).
 
@@ -492,11 +489,10 @@ def gamma2_upper(
     a = as_matrix(a)
     m, n = a.shape
     _check_tol(tol)
-    _check_ellipsoid_cap(m)
     if dual is not None and not (isinstance(dual, _DualBound) and np.array_equal(dual.a, a)):
         raise TypeError("dual must be gamma2_lower_dual's result for this matrix")
     if float(np.abs(a).max()) == 0.0:
-        return 0.0, np.zeros((m, m)), np.zeros((m, 1)), np.zeros((1, n)), True
+        return 0.0, np.zeros((m, 1)), np.zeros((1, n)), True
 
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
@@ -515,11 +511,10 @@ def gamma2_upper(
         except (InteriorPointError, np.linalg.LinAlgError):
             pass
 
-    value, d, b, c = best
+    value, b, c = best
     if m > n:  # the certificate encloses the rows of A
         b, c = c.T, b.T
-        d = value * (b @ b.T)
-    return float(value), d, b, c, value <= target
+    return float(value), b, c, value <= target
 
 
 def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -546,27 +541,25 @@ def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
     """Certificate of A from the solved blocks.
 
-    ``parts`` holds (rows, cols, (lower, p, q), (upper, D, B, C)) for
+    ``parts`` holds (rows, cols, (lower, p, q), (upper, B, C)) for
     blocks A[rows][:, cols] on disjoint rows and columns that hold
-    every nonzero of A, each with D = upper * B B^T. D and the factors
-    are block-diagonal, as in block_diag_ellipsoid, so the upper bound
-    is the max of the blocks'. A block's B is scaled by
-    sqrt(its upper / upper) and its C by the inverse, so that D =
-    upper * B B^T still holds, and no row of B or column of C has a
-    norm above sqrt(upper). The weights are those of the block with the
+    every nonzero of A. The factors are block-diagonal, so their
+    ellipsoid is that of block_diag_ellipsoid and the upper bound is
+    the max of the blocks'. A block's B is scaled by
+    sqrt(its upper / upper) and its C by the inverse, so that upper
+    * B B^T keeps each block's ellipsoid, and no row of B or column of
+    C has a norm above sqrt(upper). The weights are those of the block with the
     best lower bound, zero elsewhere, and certify that lower bound for
     A.
     """
     m, n = a.shape
-    k = sum(up[2].shape[1] for *_, up in parts)
+    k = sum(up[1].shape[1] for *_, up in parts)
     upper = max(up[0] for *_, up in parts)
-    d = np.zeros((m, m))
     b = np.zeros((m, k))
     c = np.zeros((k, n))
     at = 0
-    for rows, cols, _, (value, dd, bb, cc) in parts:
+    for rows, cols, _, (value, bb, cc) in parts:
         width = bb.shape[1]
-        d[np.ix_(rows, rows)] = dd
         b[rows, at : at + width] = bb * math.sqrt(value / upper)
         c[at : at + width, cols] = cc * math.sqrt(upper / value)
         at += width
@@ -578,7 +571,6 @@ def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
     return Gamma2Certificate(
         upper=upper,
         lower=lower,
-        ellipsoid=Ellipsoid(d),
         factor_left=b,
         factor_right=c,
         dual_p=p,
@@ -600,7 +592,6 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     a = as_matrix(a)
     m, n = a.shape
     _check_tol(tol)
-    _check_ellipsoid_cap(m)
     if float(np.abs(a).max()) == 0.0:
         return _zero_certificate(m, n)
     parts = []
@@ -610,14 +601,14 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
         block[...] = a[np.ix_(rows, cols)]
         dual = gamma2_lower_dual(block, tol=tol)
         lower, p, q = dual
-        upper, d, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
+        upper, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
         # weak duality must hold between certified quantities
         if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
             raise CertificateError(
                 f"certified lower {lower} exceeds certified upper {upper}"
             )
         lower = min(lower, upper)  # guard fp-rounding at closed gaps
-        parts.append((rows, cols, (lower, p, q), (upper, d, b, c)))
+        parts.append((rows, cols, (lower, p, q), (upper, b, c)))
     cert = _assemble(a, parts, tol)
     check_certificate(cert, a)
     return cert
@@ -674,13 +665,6 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
         )
     report["dual_value"] = lb
 
-    prod_bound = two_to_infinity_norm(b) * one_to_two_norm(c) if cert.upper > 0 else 0.0
-    if prod_bound > cert.upper * (1.0 + CHECK_RTOL):
-        raise CertificateError(
-            f"factor norms certify {prod_bound}, above upper {cert.upper}"
-        )
-    report["factor_bound"] = prod_bound
-
     resid = float(np.linalg.norm(b @ c - a))
     fro = float(np.linalg.norm(a))
     if resid > CHECK_RTOL * max(fro, 1e-300):
@@ -689,24 +673,16 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
         )
     report["factorization_residual"] = resid
 
-    if cert.ellipsoid.dim != m:
+    # E(upper * B B^T) has height sqrt(upper * max_i ||B_i||^2), at most
+    # upper when every ||B_i||^2 <= upper; with upper = 0 it is {0}
+    row = float(np.max(np.sum(b * b, axis=1)))
+    if cert.upper > 0 and row > cert.upper * (1.0 + CHECK_RTOL):
         raise CertificateError(
-            f"ellipsoid dim {cert.ellipsoid.dim}, expected {m}"
+            f"factor norms: max row norm^2 of B {row} above upper {cert.upper}"
         )
-    inf_norm = ellipsoid_inf_norm(cert.ellipsoid)
-    if inf_norm > cert.upper * (1.0 + CHECK_RTOL):
-        raise CertificateError(
-            f"ellipsoid inf-norm {inf_norm} above upper {cert.upper}"
-        )
+    report["worst_row_norm"] = row / cert.upper if cert.upper > 0 else 0.0
     # each column a_j = B c_j lies in E(upper * B B^T) when ||c_j||^2 <=
     # upper: z^T a_j = (B^T z)^T c_j <= ||c_j|| * sqrt(z^T B B^T z)
-    shape = cert.upper * (b @ b.T)
-    off = float(np.linalg.norm(cert.ellipsoid.d - shape))
-    if off > CHECK_RTOL * float(np.linalg.norm(shape)):
-        raise CertificateError(
-            f"column membership unproven: ||D - upper * B B^T||_F = {off:.3e} "
-            f"above {CHECK_RTOL:.1e} * ||upper * B B^T||_F"
-        )
     col = float(np.max(np.sum(c * c, axis=0)))
     worst = col / cert.upper if cert.upper > 0 else (np.inf if col > 0 else 0.0)
     if fro > 0 and worst > 1.0 + CHECK_RTOL:
@@ -719,8 +695,9 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
 
 # ---------------------------------------------------------------------------
 # Certificate text bundles: key=value header lines, then the matrices
-# D, B, C, p, q in the matrix text format, each introduced by a
-# "# <name>" section line.
+# B, C, p, q in the matrix text format, each introduced by a "# <name>"
+# section line. Sections of other names are ignored, such as the "# D"
+# of older files: the factors and the weights prove everything.
 # ---------------------------------------------------------------------------
 
 
@@ -731,7 +708,6 @@ def write_certificate(path, cert: Gamma2Certificate) -> None:
         fh.write(f"gap={cert.gap:.17g}\n")
         fh.write(f"converged={1 if cert.converged else 0}\n")
         for name, mat in (
-            ("D", cert.ellipsoid.d),
             ("B", cert.factor_left),
             ("C", cert.factor_right),
             ("p", cert.dual_p.reshape(-1, 1)),
@@ -772,7 +748,6 @@ def read_certificate(path) -> Gamma2Certificate:
     return Gamma2Certificate(
         upper=header["upper"],
         lower=header["lower"],
-        ellipsoid=Ellipsoid(parse_block("D")),
         factor_left=parse_block("B"),
         factor_right=parse_block("C"),
         dual_p=parse_block("p").reshape(-1),

@@ -30,7 +30,7 @@ A stage ends when the Newton decrement falls below 1e-11 or at the
 numerical floor: no step passes the line search, or an accepted step
 moves M by at most FLOOR_RTOL relative in Frobenius norm.
 ``ellipsoid.certify`` then turns the stage's W = M^{-1} into its
-certificate (value, D, B, C). The solve returns the certificate of the
+certificate (value, B, C). The solve returns the certificate of the
 first stage that meets either of two rules:
 
 * the certified stop: the certified value is at most the caller's
@@ -115,15 +115,15 @@ def minimum_height_ellipsoid(
     points: np.ndarray,
     *,
     target: float = 0.0,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve the program above for a d x N array of points (columns).
 
-    Returns ``certify(points, W)``, that is (value, D, B, C), for the
+    Returns ``certify(points, W)``, that is (value, B, C), for the
     W = M^{-1} of the stage the solve stopped on: value >= sqrt(t*)
-    bounds gamma_2 of the points from above, E(D) holds every point and
-    B C = points. A positive ``target`` ends the solve after the first
-    barrier stage whose value is at most ``target``; otherwise it runs
-    to the barrier stop.
+    bounds gamma_2 of the points from above, B C = points, and
+    E(value * B B^T) holds every point. A positive ``target`` ends the
+    solve after the first barrier stage whose value is at most
+    ``target``; otherwise it runs to the barrier stop.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -141,7 +141,7 @@ def minimum_height_ellipsoid(
     smax = float(sq_norms.max())
     if smax == 0.0:
         # all points at the origin: certify's zero certificate
-        return 0.0, np.zeros((d, d)), np.zeros((d, 1)), np.zeros((1, n))
+        return 0.0, np.zeros((d, 1)), np.zeros((1, n))
 
     # strictly feasible start
     m_mat = np.eye(d) / (smax + 1.0)

@@ -122,9 +122,9 @@ def write_csv(rows: list[ReportRow], path: str) -> None:
 def _solve_oriented(a: np.ndarray, *, tol: float):
     """Solve gamma_2 with the smaller side as rows.
 
-    The value is transpose-invariant and the certificate ellipsoid
-    lives on the row space, so orienting the small side first keeps
-    certificates compact. Returns (certificate, transposed?).
+    The value is transpose-invariant and the certificate's ellipsoid
+    lives on the row space, so orienting the small side first keeps it
+    small when it is read. Returns (certificate, transposed?).
     """
     m, n = a.shape
     if m > n:
@@ -225,10 +225,11 @@ def ellipsoid_dump(
     d_path = os.path.join(out_dir, f"T_{n}_D.txt")
     p_path = os.path.join(out_dir, f"T_{n}_p.txt")
     q_path = os.path.join(out_dir, f"T_{n}_q.txt")
-    write_matrix(d_path, cert.ellipsoid.d, comments=[f"optimal ellipsoid for T_{n}"])
+    d = cert.ellipsoid.d
+    write_matrix(d_path, d, comments=[f"optimal ellipsoid for T_{n}"])
     write_matrix(p_path, cert.dual_p.reshape(-1, 1), comments=["row weights p"])
     write_matrix(q_path, cert.dual_q.reshape(-1, 1), comments=["column weights q"])
-    max_diag = float(np.max(np.diag(cert.ellipsoid.d)))
+    max_diag = float(np.max(np.diag(d)))
     assert abs(max_diag - cert.upper**2) <= 1e-6 * max(cert.upper**2, 1.0), (
         "certificate ellipsoid max diagonal must equal the squared value"
     )

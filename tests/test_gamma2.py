@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,13 +33,20 @@ from g2d.gamma2 import (
     write_certificate,
 )
 from g2d.interior import minimum_height_ellipsoid
-from g2d.linalg import RefusedError, nuclear_norm, tn_matrix
+from g2d.linalg import RefusedError, format_matrix, nuclear_norm, tn_matrix
 from g2d.setsystems import arithmetic_progressions, maximal_aps, subcubes
 
 C1 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 # least-inf-norm ellipse covering the rows of C1: x1^2 + x2^2 - x1 x2 <= 1
 D_STAR = np.array([[4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 4.0 / 3.0]])
+
+# blocks with gamma_2 of T_4, J_{3x4} = 1 and T_2 on disjoint rows and
+# columns
+THREE_BLOCKS = np.zeros((9, 10))
+THREE_BLOCKS[:4, :4] = tn_matrix(4)
+THREE_BLOCKS[4:7, 4:8] = 1.0
+THREE_BLOCKS[7:, 8:] = tn_matrix(2)
 
 
 def random_binary(rng, m, n, density=0.5):
@@ -60,8 +68,8 @@ def test_gamma2_identity():
 
 
 def test_gamma2_upper_c1():
-    value, d, b, c, converged = gamma2_upper(C1)
-    ell = Ellipsoid(d)
+    value, b, c, converged = gamma2_upper(C1)
+    ell = Ellipsoid(value * (b @ b.T))
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
     assert converged
     # certificate geometry is carried by the ellipsoid
@@ -72,8 +80,8 @@ def test_gamma2_upper_c1():
 def test_gamma2_c1_transposed_side_ellipse():
     # on the 2 x 3 transposed problem the optimal dual ellipse is the
     # one whose boundary passes through (1,1), (1,0), (0,1)
-    value, d, _, _, _ = gamma2_upper(C1.T)
-    ell = Ellipsoid(d)
+    value, b, _, _ = gamma2_upper(C1.T)
+    ell = Ellipsoid(value * (b @ b.T))
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
     assert np.max(np.abs(ell.d - D_STAR)) <= 2e-3
 
@@ -423,8 +431,8 @@ def test_gamma2_zero_row_and_column():
 
 
 def test_gamma2_builds_one_ellipsoid(monkeypatch):
-    # every solve, split or not, goes through one assembly, which builds
-    # the certificate's ellipsoid; no block builds its own
+    # a solve, split or not, builds no ellipsoid: the certificate is its
+    # factors, and reading its ellipsoid builds one, upper * B B^T
     module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
     built = []
 
@@ -434,30 +442,62 @@ def test_gamma2_builds_one_ellipsoid(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(module, "Ellipsoid", Counting)
-    a = np.zeros((9, 10))
-    a[:4, :4] = tn_matrix(4)
-    a[4:7, 4:8] = 1.0
-    a[7:, 8:] = tn_matrix(2)
-    for mat in (a, tn_matrix(5)):
+    for mat in (THREE_BLOCKS, tn_matrix(5)):
         built.clear()
         cert = gamma2(mat)
-        assert len(built) == 1 and built[0] is cert.ellipsoid
+        assert built == []
+        ell = cert.ellipsoid
+        assert len(built) == 1 and built[0] is ell
+        b = cert.factor_left
+        assert np.array_equal(ell.d, cert.upper * (b @ b.T))
+
+
+@pytest.mark.parametrize(
+    "a, inner",
+    [
+        (arithmetic_progressions(14).incidence.T, 14),
+        (THREE_BLOCKS, 4 + 3 + 2),
+    ],
+    ids=["AP_14T", "three_blocks"],
+)
+def test_certificate_inner_dimension_is_the_sum_of_small_sides(a, inner):
+    # the factors of each block are as wide as its small side; sizing
+    # the assembly by the width of a block's C would give AP_14^T a
+    # 242 x 242 C
+    cert = gamma2(a)
+    m, n = a.shape
+    assert cert.factor_left.shape == (m, inner)
+    assert cert.factor_right.shape == (inner, n)
+
+
+def test_tall_block_makes_no_m_by_m_array():
+    # the certificate once held D = upper * B B^T, 3000 x 3000 here:
+    # 72 MB for a block whose small side is 8
+    a = random_binary(np.random.default_rng(3000), 3000, 8)
+    tracemalloc.start()
+    try:
+        cert = gamma2(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.converged
+    assert peak < 8 * 2**20
 
 
 def test_split_certificate_ellipsoid_is_upper_times_b_bt():
-    # blocks with gamma_2 of T_4, J_{3x4} = 1 and T_2: each block's
-    # factors are rescaled to the largest, so D = upper * B B^T holds
-    # for the assembled certificate with its balance bounds
-    a = np.zeros((9, 10))
-    a[:4, :4] = tn_matrix(4)
-    a[4:7, 4:8] = 1.0
-    a[7:, 8:] = tn_matrix(2)
+    # each block's factors are rescaled to the largest upper bound, so
+    # the assembled certificate keeps its balance bounds
+    a = THREE_BLOCKS
     cert = gamma2(a)
-    uppers = [gamma2(a[:4, :4]).upper, gamma2(a[4:7, 4:8]).upper, gamma2(a[7:, 8:]).upper]
+    blocks = [gamma2(a[:4, :4]), gamma2(a[4:7, 4:8]), gamma2(a[7:, 8:])]
+    uppers = [blk.upper for blk in blocks]
     assert cert.upper == max(uppers) and min(uppers) < 0.9 * max(uppers)
+    # upper * B B^T is the block-diagonal of the blocks' own ellipsoids
+    want = blocks[0].ellipsoid
+    for blk in blocks[1:]:
+        want = block_diag_ellipsoid(want, blk.ellipsoid)
+    assert np.linalg.norm(cert.ellipsoid.d - want.d) <= 1e-13 * np.linalg.norm(want.d)
     b, c = cert.factor_left, cert.factor_right
-    shape = cert.upper * (b @ b.T)
-    assert np.linalg.norm(cert.ellipsoid.d - shape) <= 1e-13 * np.linalg.norm(shape)
     assert (b * b).sum(axis=1).max() <= cert.upper * (1.0 + 1e-12)
     assert (c * c).sum(axis=0).max() <= cert.upper * (1.0 + 1e-12)
     check_certificate(cert, a)
@@ -566,13 +606,11 @@ def test_certificate_checker_accepts_solver_output():
 )
 def test_membership_of_all_columns_at_once(a):
     cert = gamma2(a)
-    values = membership_value(cert.ellipsoid, a)
-    each = np.array([membership_value(cert.ellipsoid, a[:, j]) for j in range(a.shape[1])])
+    ell = cert.ellipsoid
+    values = membership_value(ell, a)
+    each = np.array([membership_value(ell, a[:, j]) for j in range(a.shape[1])])
     assert values.shape == each.shape
     assert np.max(np.abs(values - each) / each) <= 1e-14
-    bad = dataclasses.replace(cert, ellipsoid=Ellipsoid(cert.ellipsoid.d * (1.0 - 1e-6)))
-    with pytest.raises(CertificateError, match="membership"):
-        check_certificate(bad, a)
 
 
 @pytest.mark.parametrize("lower_factor", [1.0 - 9e-5, 1.0])
@@ -590,8 +628,9 @@ def test_certificate_checker_rejects_upper_below_own_weights(lower_factor):
 
 
 def _rescale_inner_column(cert, factor):
-    # B diag(r), diag(r)^-1 C keeps B C = A; scaling the column that
-    # holds B's largest entry raises the factor-norm product
+    # B diag(r), diag(r)^-1 C keeps B C = A; scaling up the column that
+    # holds B's largest entry raises a row norm of B, scaling it down
+    # raises a column norm of C
     r = np.ones(cert.factor_left.shape[1])
     r[np.argmax(np.abs(cert.factor_left).max(axis=0))] = factor
     return dataclasses.replace(
@@ -602,11 +641,10 @@ def _rescale_inner_column(cert, factor):
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda c: dataclasses.replace(c, ellipsoid=Ellipsoid(c.ellipsoid.d * (1.0 - 9e-5))), "membership"),
-        (lambda c: dataclasses.replace(c, ellipsoid=Ellipsoid(c.ellipsoid.d * (1.0 + 9e-5))), "inf-norm"),
+        (lambda c: _rescale_inner_column(c, 1.0 / (1.0 + 9e-5)), "membership"),
         (lambda c: _rescale_inner_column(c, 1.0 + 9e-5), "factor norms"),
     ],
-    ids=["D_shrunk", "D_grown", "B_scaled"],
+    ids=["C_scaled", "B_scaled"],
 )
 def test_certificate_checker_rejects_tampered_primal(tamper, message):
     # each tamper moves one primal quantity by less than the solver's tol
@@ -660,10 +698,15 @@ def test_certificate_checker_rejects_malformed_parts(a, tamper):
         check_certificate(bad, a)
 
 
-def test_gamma2_refuses_oversized_ellipsoid():
-    # 6325^2 entries are over KRON_ENTRY_CAP; refused before any solve
+def test_gamma2_solves_tall_block_and_refuses_its_ellipsoid():
+    # 6325^2 entries are over KRON_ENTRY_CAP: the solve, which once
+    # refused this matrix, needs no m x m array, and only reading the
+    # ellipsoid is refused
+    cert = gamma2(np.ones((6325, 1)))
+    assert cert.converged
+    assert abs(cert.upper - 1.0) <= 1e-12
     with pytest.raises(RefusedError):
-        gamma2(np.ones((6325, 1)))
+        cert.ellipsoid
 
 
 def test_certificate_checker_rejects_wrong_matrix():
@@ -709,9 +752,9 @@ def _recording_eigh(monkeypatch):
 
 
 def test_certificate_membership_needs_no_eigendecomposition(monkeypatch):
-    # the check proves membership from D = upper * B B^T and the
-    # column norms of C, and the solve builds D from the factors: the
-    # 158x24 solve once made a 158x158 eigh for its ellipsoid
+    # the check proves membership from the norms of the factors, and
+    # the solve builds no ellipsoid: the 158x24 solve once made a
+    # 158x158 eigh for its ellipsoid
     shapes = _recording_eigh(monkeypatch)
     for a in (maximal_aps(24).large_difference.incidence, tn_matrix(8), C1):
         shapes.clear()
@@ -723,21 +766,6 @@ def test_certificate_membership_needs_no_eigendecomposition(monkeypatch):
         assert report["worst_membership"] <= 1.0 + 1e-12
 
 
-def test_certificate_checker_rejects_negative_direction_off_the_columns():
-    # D - s v v^T with v orthogonal to every column still holds the
-    # columns and keeps diag D below upper^2, but it is not PSD, so
-    # E(D) is no ellipsoid; the factors do not reproduce it
-    a = maximal_aps(24).large_difference.incidence
-    cert = gamma2(a)
-    v = np.linalg.svd(a)[0][:, -1]  # 158 rows, rank at most 24
-    assert np.abs(v @ a).max() <= 1e-12
-    d = cert.ellipsoid.d - cert.upper**2 * np.outer(v, v)
-    assert np.linalg.eigvalsh(d)[0] < -0.5 * cert.upper**2
-    bad = dataclasses.replace(cert, ellipsoid=Ellipsoid(d))
-    with pytest.raises(CertificateError, match="membership"):
-        check_certificate(bad, a)
-
-
 def test_certificate_io_round_trip(tmp_path):
     cert = gamma2(C1)
     path = tmp_path / "cert.txt"
@@ -747,13 +775,20 @@ def test_certificate_io_round_trip(tmp_path):
     assert back.lower == cert.lower
     assert back.gap == cert.gap
     assert back.converged == cert.converged
-    # the ellipsoid stores its symmetrized D, which the text format
-    # round-trips exactly, as it does the raw arrays below
-    assert np.array_equal(back.ellipsoid.d, cert.ellipsoid.d)
     assert np.array_equal(back.factor_left, cert.factor_left)
     assert np.array_equal(back.factor_right, cert.factor_right)
     assert np.array_equal(back.dual_p, cert.dual_p)
     assert np.array_equal(back.dual_q, cert.dual_q)
+    check_certificate(back, C1)
+    # files of the earlier format also hold D before B; it loads, is
+    # ignored, and the factors pass the check on their own
+    text = path.read_text()
+    assert "# D" not in text
+    old = text.replace("# B\n", "# D\n" + format_matrix(cert.ellipsoid.d) + "# B\n")
+    path.write_text(old)
+    back = read_certificate(path)
+    assert np.array_equal(back.factor_left, cert.factor_left)
+    assert np.array_equal(back.factor_right, cert.factor_right)
     check_certificate(back, C1)
 
 
@@ -788,8 +823,8 @@ def test_lift_only_path_matches_default():
     ref = gamma2(t3, tol=1e-9).upper
     # weights from the ascent run to its plateau: given no weights,
     # gamma2_upper stops its ascent at tol=1.0 too
-    value, d, b, c, _ = gamma2_upper(t3, tol=1.0, dual=gamma2_lower_dual(t3))
-    ell = Ellipsoid(d)
+    value, b, c, _ = gamma2_upper(t3, tol=1.0, dual=gamma2_lower_dual(t3))
+    ell = Ellipsoid(value * (b @ b.T))
     assert value >= ref - 1e-9
     assert value <= ref * (1.0 + 2e-3)
     for j in range(3):
@@ -799,7 +834,8 @@ def test_lift_only_path_matches_default():
 def test_interior_point_cross_check():
     for n in (3, 5, 8):
         t = tn_matrix(n)
-        value, d, _, _ = minimum_height_ellipsoid(t)
+        value, b, _ = minimum_height_ellipsoid(t)
+        d = value * (b @ b.T)
         ref = gamma2(t, tol=1e-9).upper
         assert abs(value - ref) <= 1e-5 * ref
         # D is the certified ellipsoid: every column fits, max diag = value^2
@@ -887,9 +923,9 @@ def test_ellipsoid_sum_contains_both_column_sets():
     b = random_binary(rng, 4, 5)
     a[0, 0] = 1.0
     b[0, 0] = 1.0
-    _, da, _, _, _ = gamma2_upper(a)
-    _, db, _, _, _ = gamma2_upper(b)
-    ea, eb = Ellipsoid(da), Ellipsoid(db)
+    va, ba, _, _ = gamma2_upper(a)
+    vb, bb, _, _ = gamma2_upper(b)
+    ea, eb = Ellipsoid(va * (ba @ ba.T)), Ellipsoid(vb * (bb @ bb.T))
     s = ellipsoid_sum(ea, eb)
     for j in range(a.shape[1]):
         assert membership_value(s, a[:, j]) <= 1.0 + 1e-6
@@ -913,15 +949,19 @@ def test_block_diag_ellipsoid_degenerate_part():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_certify_gives_one_consistent_certificate(d):
-    # random PSD shapes of every rank 1..d against random A: D contains
-    # every column, max diag D = value^2, and B C = A with D = value B B^T
+    # random PSD shapes of every rank 1..d against random A: B C = A,
+    # and D = value B B^T contains every column with max diag D = value^2
     rng = np.random.default_rng(500 + d)
     for rank in range(1, d + 1):
         g = rng.standard_normal((d, rank))
         a = rng.standard_normal((d, int(rng.integers(1, 9))))
-        value, dmat, b, c = certify(a, g @ g.T)
+        value, b, c = certify(a, g @ g.T)
+        dmat = value * (b @ b.T)
         assert np.linalg.norm(b @ c - a) <= 1e-12 * np.linalg.norm(a)
-        assert np.linalg.norm(value * (b @ b.T) - dmat) <= 1e-12 * np.linalg.norm(dmat)
+        # D is a multiple of the shape with certify's ridge
+        shape = g @ g.T + 1e-12 * np.linalg.eigvalsh(g @ g.T)[-1] * np.eye(d)
+        shape *= np.trace(dmat) / np.trace(shape)
+        assert np.linalg.norm(shape - dmat) <= 1e-12 * np.linalg.norm(dmat)
         assert abs(np.max(np.diag(dmat)) - value**2) <= 1e-12 * value**2
         ell = Ellipsoid(dmat)
         assert max(membership_value(ell, a[:, j]) for j in range(a.shape[1])) <= 1.0 + 1e-9

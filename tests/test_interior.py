@@ -180,7 +180,8 @@ def test_refiner_certifies_each_shape_once(monkeypatch):
     for i, s in enumerate(shapes):
         assert not any(np.array_equal(s, o) for o in shapes[:i])
 
-    value, d, b, c = minimum_height_ellipsoid(np.zeros((3, 4)))
+    value, b, c = minimum_height_ellipsoid(np.zeros((3, 4)))
+    d = value * (b @ b.T)
     assert value == 0.0
     assert d.shape == (3, 3) and not d.any()
     assert not (b @ c).any() and (b @ c).shape == (3, 4)
