@@ -41,21 +41,20 @@ The solve path:
    where each closed-form step is followed by a geometric extrapolation
    along the previous step that is kept only when it does not lower the
    value, and whose exponent resets when it is rejected. Each point
-   tried is one evaluation, at most DUAL_MAX_STEPS in all. On a block
-   whose small side exceeds GRAM_MIN_SIDE it is one eigendecomposition
-   of the small-side Gram matrix, or an SVD once that matrix has been
-   ill conditioned, and the best point's value is recomputed by one
-   more SVD, counted as an evaluation, unless the ascent's last lift
-   was made there; on smaller blocks it is one SVD.
-   At each new best point, the step's own matrix-vector products give
-   the value that the small-side lift of step 3 would certify there;
-   only when that meets ``tol`` does the ascent make the lift, one more
-   SVD and one eigendecomposition on top of DUAL_MAX_STEPS, and after
-   a lift that misses, the next waits for a restart. It stops once a
-   lift's certified upper bound is within ``tol`` of its value. It
-   hands step 3 its best weights, their value and, when its last lift
-   was of those weights, that lift's certificate, which step 3
-   then takes as it is; after a stop on the gap, step 4 does not run;
+   tried is one evaluation. On a block whose small side exceeds
+   GRAM_MIN_SIDE it is one eigendecomposition of the small-side Gram
+   matrix, or an SVD once that matrix has been ill conditioned; on
+   smaller blocks it is one SVD. At each new best point, the step's
+   own matrix-vector products give the value that the small-side lift
+   of step 3 would certify there; only when that meets ``tol`` does the
+   ascent make the lift, one more SVD and one eigendecomposition on top
+   of DUAL_MAX_STEPS, and after a lift that misses, the next waits for
+   a restart. The ascent has one exit: a lift's certified upper bound
+   within ``tol`` of its value, or DUAL_MAX_STEPS evaluations, the
+   closing lift of its best point among them. It hands on that lift,
+   the only one a solve makes: its SVD value at its floored weights is
+   the lower bound, and its certificate is step 3's upper bound; after
+   a stop on the gap, step 4 does not run;
 3. the closed-form primal lift of the dual weights on the smaller side:
    the first-order conditions pair an optimal (p, q) with the optimal
    ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
@@ -100,12 +99,9 @@ from .linalg import (
 # Relative tolerance on the certified upper/lower gap.
 DEFAULT_TOL = 1e-4
 
-# The dual ascent stops after DUAL_MAX_STEPS evaluations (the points it
-# tries and, on the Gram path, the final SVD of the best one), or
-# earlier once DUAL_PLATEAU steps in a row have not raised its best
-# value by a relative 1e-13.
+# The dual ascent stops after DUAL_MAX_STEPS evaluations: the points it
+# tries and the closing lift of the best one.
 DUAL_MAX_STEPS = 300
-DUAL_PLATEAU = 30
 
 # Exponent of the ascent's extrapolation: it starts at DUAL_BETA_RESET,
 # grows by DUAL_BETA_GROWTH up to DUAL_BETA_MAX while extrapolated
@@ -263,7 +259,7 @@ def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, va
     return math.sqrt(r * float(((az.T @ x)[live] / y[live]).max()))
 
 
-def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
+def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     """Dual lower bound by extrapolated block-coordinate ascent on
     (Z, p, q).
 
@@ -286,45 +282,38 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
     plain point F is taken, one more evaluation
     (adaptive restart, as in O'Donoghue & Candes, FoCM 2015). Every
     iterate is feasible, hence a valid lower bound, and the values do
-    not decrease. On the Gram path the returned value is recomputed by
-    one SVD of the best point, so that the certified lower bound is an
-    SVD value; that SVD is one of the evaluations. When the last lift
-    was of the best point, its own SVD gives that value instead, and
-    the weights returned are the floored ones it was made at.
+    not decrease.
 
-    The ascent makes at most DUAL_MAX_STEPS evaluations, and stops
-    earlier once DUAL_PLATEAU steps in a row have not raised its best
-    value by a relative 1e-13. With ``tol`` >= 0 it also stops at the
-    first point whose weights, lifted on the small side of A as in
-    ``gamma2_upper``, certify an upper bound of at most value /
-    (1 - tol): the gap is then closed at ``tol``, and ``gamma2_upper``
-    finds the same certificate without its interior point. At each new
-    best point, ``_lift_guess`` reads what that lift would certify from
-    one or two matrix-vector products, and only when the guess meets
-    the target is the lift made, one SVD and one eigendecomposition on
-    top of DUAL_MAX_STEPS; the ascent stops only on the lift's own
-    certified value. After a lift that misses, the next one waits for a
-    restart (a rejected extrapolation). With ``tol=None`` nothing is
-    checked.
+    The ascent stops at the first point whose weights, lifted on the
+    small side of A by ``_lift``, certify an upper bound of at most
+    value / (1 - tol), ``tol`` >= 0: the gap is then closed at ``tol``,
+    and ``gamma2_upper`` needs no interior point. At ``tol`` = 0 only an
+    exact lift stops it. At each new best point, ``_lift_guess`` reads
+    what that lift would certify from one or two matrix-vector
+    products, and only when the guess meets the target is the lift
+    made, one SVD and one eigendecomposition on top of DUAL_MAX_STEPS;
+    the ascent stops only on the lift's own certified value. After a
+    lift that misses, the next one waits for a restart (a rejected
+    extrapolation). Otherwise it stops after DUAL_MAX_STEPS
+    evaluations, and the closing lift of its best point, made unless
+    its last lift was of that point, counts as one of them.
 
-    Returns the best iterate as a ``_DualBound``: it unpacks as
-    (value, p, q), and when the last lift made was of this very
-    iterate, it carries that lift's certificate, which ``gamma2_upper``
-    then uses instead of lifting the weights again.
+    Returns the lift of the best iterate as a ``_DualBound``: it
+    unpacks as (value, p, q), the lift's floored weights and their SVD
+    value ``dual_value(a, p, q)``, and carries the lift's certificate,
+    which ``gamma2_upper`` takes as its upper bound.
     """
     a = as_matrix(a)
     m, n = a.shape
-    if tol is not None:
-        _check_tol(tol)
+    _check_tol(tol)
     x, y = np.full(m, 1.0 / np.sqrt(m)), np.full(n, 1.0 / np.sqrt(n))
     if float(np.abs(a).max()) == 0.0:
         return _DualBound(0.0, x * x, y * y, a, None)
-    gram = min(m, n) > GRAM_MIN_SIDE
-    # on the Gram path the final SVD of the best point is one of the steps
-    steps = int(gram)
+    # the closing lift of the best point is one of the steps
+    steps = 1
     # cleared by the first Gram matrix that fails the conditioning
     # test: on a rank-deficient block every later one fails it too
-    eig = gram
+    eig = min(m, n) > GRAM_MIN_SIDE
 
     def evaluate(x, y):
         nonlocal steps, eig
@@ -341,14 +330,13 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
     best = (val, x, y)
     # the last lift and the iterate it lifted
     lift = lifted = None
-    armed = tol is not None
+    armed = True
     prev = None
     beta = DUAL_BETA_RESET
-    flat = 0
     # the extrapolation divides by zero weights and overflows on
     # entries that it then discards
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while steps < DUAL_MAX_STEPS and flat < DUAL_PLATEAU:
+        while steps < DUAL_MAX_STEPS:
             ay = az @ y
             if armed and best[1] is x:  # the current point is the best
                 target = _target(val, tol)
@@ -371,23 +359,19 @@ def gamma2_lower_dual(a, *, tol: float | None = None) -> _DualBound:
                 x, y, val, az = trial
                 beta = min(DUAL_BETA_GROWTH * beta, DUAL_BETA_MAX)
             elif steps < DUAL_MAX_STEPS:
-                armed |= rejected and tol is not None
+                armed |= rejected
                 beta = DUAL_BETA_RESET
                 x, y = fx, fy
                 val, az = evaluate(x, y)
             else:
                 break
             prev = (fx, fy)
-            flat = 0 if val > best[0] + 1e-13 * max(best[0], 1.0) else flat + 1
             if val > best[0]:
                 best = (val, x, y)
-    val, x, y = best
-    cert, point = lift if lifted is x else (None, None)
-    if not gram:
-        point = (val, x * x, y * y)
-    elif point is None:  # the certified lower bound is an SVD value
-        point = (nuclear_norm(x[:, None] * a * y[None, :]), x * x, y * y)
-    return _DualBound(*point, a, cert)
+    x, y = best[1:]
+    if lifted is not x:
+        lift = _lift(a, x * x, y * y)
+    return _DualBound(*lift[1], a, lift[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +413,7 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[flo
 class _DualBound(tuple):
     """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
     unpacks as a plain triple. ``cert`` is the certificate of the
-    ``_lift`` of these weights (up to its 1e-12 floor) when the ascent
-    made one, else None."""
+    ``_lift`` of these weights, None only for the zero matrix."""
 
     def __new__(cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None):
         bound = super().__new__(cls, (value, p, q))
@@ -476,15 +459,15 @@ def gamma2_upper(
     is above lower / (1 - tol), with ``tol`` >= 0, after the refiner (the
     value is still a valid upper bound).
 
-    The bound is the certified small-side lift of the dual weights, and
-    only when that misses lower / (1 - tol) and min(m, n) <=
+    The bound is the ascent's certified small-side lift of its dual
+    weights, and only when that misses lower / (1 - tol) and min(m, n) <=
     IP_SIDE_CAP, the interior point on the same side, kept if lower.
 
     ``dual`` is either None, and the dual ascent runs with this ``tol``,
     or ``gamma2_lower_dual``'s own result for this matrix, which spares
     re-running it; anything else raises TypeError. Its value is the
-    lower bound, and its weights are lifted once unless it carries the
-    certificate of their lift.
+    lower bound, and the certificate of its lift is the bound before
+    refinement: this function never lifts.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -496,8 +479,8 @@ def gamma2_upper(
 
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
-    lower, p, q = dual
-    best = _lift(a, p, q)[0] if dual.cert is None else dual.cert
+    lower = dual[0]
+    best = dual.cert
     target = _target(lower, tol)
 
     # interior-point refinement on the same small side; it returns the

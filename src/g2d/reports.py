@@ -8,14 +8,12 @@ primal, lower <= upper column ordering, determinant bound below
 gamma_2) are asserted at emit time; anything involving an unspecified
 absolute constant is reported as a ratio column and never asserted.
 
-Numeric columns are deterministic; wall-clock seconds live on the row
-objects but are excluded from the CSV so that reruns are bit-identical.
+Numeric columns are deterministic, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,17 +60,12 @@ TUSNADY_DIRECT_CAP = 512
 
 @dataclass
 class ReportRow:
-    """One solved instance: identifying fields plus named numeric columns.
-
-    ``seconds`` is measured wall time; it is deliberately not part of
-    ``columns`` so CSV output stays bit-identical across reruns.
-    """
+    """One solved instance: identifying fields plus named numeric columns."""
 
     label: str
     n: int | None = None
     d: int | None = None
     columns: dict = field(default_factory=dict)
-    seconds: float = 0.0
     certificate: Gamma2Certificate | None = None
 
 
@@ -167,7 +160,6 @@ def tn_figure(
             raise RefusedError(f"tn_figure caps at n <= {TN_FIGURE_CAP}, got {n}")
 
     def solve(n: int) -> ReportRow:
-        t0 = time.time()
         cert = gamma2(tn_matrix(n), tol=tol)
         log_bound = float(np.floor(np.log2(n))) + 1.0
         closed = float(np.sum(tn_singular_values_closed_form(n))) / n
@@ -182,7 +174,6 @@ def tn_figure(
                 "rel_gap": cert.gap / cert.upper if cert.upper > 0 else 0.0,
                 "converged": cert.converged,
             },
-            seconds=time.time() - t0,
             certificate=cert,
         )
         fp_slack = 1e-9 * max(cert.upper, 1.0)
@@ -293,7 +284,6 @@ def tusnady_report(
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
-    t0 = time.time()
     base = gamma2(tn_matrix(n), tol=tol)
     product_value = base.upper**d
     product_lower = base.lower**d
@@ -331,7 +321,6 @@ def tusnady_report(
         n=n,
         d=d,
         columns=columns,
-        seconds=time.time() - t0,
         certificate=cert,
     )
 
@@ -346,7 +335,6 @@ def subcube_report(
     the growth exponent (about 0.2075)."""
     if not 1 <= d <= SUBCUBE_CAP:
         raise RefusedError(f"subcube_report caps at d <= {SUBCUBE_CAP}, got {d}")
-    t0 = time.time()
     closed = (2.0 / np.sqrt(3.0)) ** d
     cert, _ = _solve_oriented(subcubes(d).incidence, tol=tol)
     exponent = float(np.log2(cert.upper)) / d if cert.upper > 0 else float("nan")
@@ -362,7 +350,6 @@ def subcube_report(
             "exponent_estimate": exponent,
             "converged": cert.converged,
         },
-        seconds=time.time() - t0,
         certificate=cert,
     )
 
@@ -387,7 +374,6 @@ def ap_report(
             raise RefusedError(f"ap_report caps at n <= {AP_CAP}, got {n}")
 
     def solve(n: int) -> ReportRow:
-        t0 = time.time()
         system = arithmetic_progressions(n)
         cert, _ = _solve_oriented(system.incidence, tol=tol)
         quarter = float(n) ** 0.25
@@ -422,7 +408,6 @@ def ap_report(
                 "large_diff_gamma2": large_val,
                 "converged": cert.converged,
             },
-            seconds=time.time() - t0,
             certificate=cert,
         )
 

@@ -163,7 +163,10 @@ def test_dual_ascent_svd_budget_and_simplex(monkeypatch):
     ):
         calls.clear()
         value, p, q = gamma2_lower_dual(a)
-        assert 0 < len(calls) <= DUAL_MAX_STEPS
+        # the closing lift, one SVD and one certify eigh, is one of the
+        # DUAL_MAX_STEPS evaluations
+        assert calls[-2:] == ["svd", "eigh"]
+        assert len(calls) - 1 <= DUAL_MAX_STEPS
         for w in (p, q):
             assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
         assert abs(value - dual_value(a, p, q)) <= 1e-12 * value
@@ -307,6 +310,44 @@ def test_ascent_lifts_only_when_the_gap_closes(monkeypatch, a):
     dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
     assert len(lifts) == 1 and dual.cert is lifts[0][0]
     assert lifts[0][0][0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
+
+
+def test_ascent_runs_while_its_gap_falls(monkeypatch):
+    # a plateau stop once ended this ascent at tol=1e-8 while its gap
+    # was still falling; the interior point then took about 40 times as
+    # long as the further ascent that converges
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interior point ran")
+
+    monkeypatch.setattr(module, "minimum_height_ellipsoid", refuse)
+    cert = gamma2(maximal_aps(24).large_difference.incidence, tol=1e-8)
+    assert cert.converged
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        arithmetic_progressions(14).incidence.T,  # Gram path, runs to its cap
+        np.random.default_rng(6).random((6, 7)),  # SVD path
+    ],
+    ids=["AP_14_T", "6x7"],
+)
+def test_ascent_is_the_only_lift_site(monkeypatch, a):
+    # an ascent that ended without lifting its best point once handed
+    # gamma2_upper bare weights, which it then lifted itself
+    dual = gamma2_lower_dual(a)
+    assert dual.cert is not None
+    value, p, q = dual
+    assert abs(value - dual_value(a, p, q)) <= 1e-13 * value
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma2_upper lifted the weights")
+
+    monkeypatch.setattr(module, "_lift", refuse)
+    assert gamma2_upper(a, dual=dual)[0] == dual.cert[0]
 
 
 @pytest.mark.parametrize("a", [np.eye(5), np.array([[1.0], [-2.0], [0.5]])], ids=["eye5", "column3"])
@@ -821,8 +862,8 @@ def test_lift_only_path_matches_default():
     t3 = tn_matrix(3)
     # the default tol leaves gamma2's own gap at up to 1e-4
     ref = gamma2(t3, tol=1e-9).upper
-    # weights from the ascent run to its plateau: given no weights,
-    # gamma2_upper stops its ascent at tol=1.0 too
+    # weights from the ascent run to its cap at tol=0: given no
+    # weights, gamma2_upper stops its ascent at tol=1.0 too
     value, b, c, _ = gamma2_upper(t3, tol=1.0, dual=gamma2_lower_dual(t3))
     ell = Ellipsoid(value * (b @ b.T))
     assert value >= ref - 1e-9
