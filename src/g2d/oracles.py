@@ -8,12 +8,15 @@ Small-scale oracles used to validate the certified gamma_2 sandwich:
   enumeration of the 2^(n-1) colorings with x_1 = +1, returning the
   lexicographically smallest minimizer;
 * herdisc_exact: hereditary discrepancy, the max of disc_exact over all
-  nonempty column subsets, each walk stopped once it cannot raise the
-  max;
-* detlb_exact / detlb2_exact: the determinant lower bound
-  max_k max_B |det B|^{1/k} over k x k submatrices, and its L_2 variant
-  max_J sqrt(|J|/m) |det A_J^T A_J|^{1/2|J|} over column subsets, one
-  np.linalg.det per stack of submatrices;
+  nonempty column subsets, as the max over supports S of the least
+  ||A x||_inf over x in {-1, 0, 1}^n with support S: one table of the
+  images of all low vectors, grouped by support, and one reduction of
+  it per high vector;
+* detlb_exact: the determinant lower bound max_k max_B |det B|^{1/k}
+  over k x k submatrices, level by level, each k x k minor from those
+  of level k-1 by Laplace expansion along its first row;
+* detlb2_exact: its L_2 variant max_J sqrt(|J|/m) |det A_J^T A_J|^{1/2|J|}
+  over column subsets, one np.linalg.det per stack of Gram matrices;
 * detlb_bucketing: a constructive witness extraction that buckets the
   singular values of the dual-weighted matrix by factors of two and
   pulls a concrete submatrix via complete-pivot elimination;
@@ -23,15 +26,16 @@ Small-scale oracles used to validate the certified gamma_2 sandwich:
 Everything here refuses oversized inputs up front (explicit caps and
 enumeration budgets, raising RefusedError) rather than truncating
 silently. Each numpy call handles a whole block of candidates: a block
-of colorings or a stack of submatrices holds at most BLOCK_ENTRIES
-float64 entries. Enumerations are deterministic: ties go to the
+of colorings, a table of signed images (of at least 3 columns), a stack
+of submatrices or a chunk of minors holds at most BLOCK_ENTRIES float64
+entries; detlb_exact also keeps one level of minors whole. Enumerations are deterministic: ties go to the
 lexicographically smallest coloring, by an integer key per coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb, inf
 
 import numpy as np
@@ -118,7 +122,7 @@ def _coloring(key: int, n: int) -> np.ndarray:
     return np.where((key >> np.arange(n - 1, -1, -1)) & 1, 1.0, -1.0)
 
 
-def _gray_walk(a: np.ndarray, reduce, table: np.ndarray, stop: float = -inf) -> tuple[float, int]:
+def _gray_walk(a: np.ndarray, reduce, table: np.ndarray) -> tuple[float, int]:
     """Minimize reduce(A x) over the 2^(n-1) colorings with x_1 = +1.
 
     The last k columns are the low variables: their images for all 2^k
@@ -128,8 +132,7 @@ def _gray_walk(a: np.ndarray, reduce, table: np.ndarray, stop: float = -inf) -> 
 
     A coloring's key has bit n-1-j set when x_{j+1} = +1, so keys order
     colorings lexicographically with -1 < +1. Returns the least reduced
-    value and the smallest key that reaches it, or the first block
-    minimum that is <= stop.
+    value and the smallest key that reaches it.
     """
     m, n = a.shape
     k = min(n - 1, table.shape[1])
@@ -151,8 +154,6 @@ def _gray_walk(a: np.ndarray, reduce, table: np.ndarray, stop: float = -inf) -> 
         v, cand = r[i], (key << k) | i
         if v < best or (v == best and cand < best_key):
             best, best_key = v, cand
-            if best <= stop:
-                break
     return best, best_key
 
 
@@ -173,24 +174,66 @@ def disc_exact(a) -> ColoringResult:
     return ColoringResult(value=float(v), coloring=_coloring(key, n), norm_kind="linf")
 
 
-def herdisc_exact(a) -> float:
-    """Hereditary discrepancy: max of disc_exact over nonempty column
-    subsets. Requires n <= 16 (total work ~ 3^n).
+def _signed_images(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images A z of all z in {-1, 0, 1}^k, k = a.shape[1], as the
+    columns of an m x 3^k table, and the start of each column run.
 
-    Each subset's walk stops at its first block that reaches the running
-    maximum, since such a subset cannot raise it.
+    The columns are sorted by the support mask of z (bit j set when
+    z_j != 0), so the 2^|S| vectors of each support S form one run and
+    the runs come in order of mask.
+    """
+    images = np.zeros((a.shape[0], 1))
+    masks = np.zeros(1, dtype=np.int64)
+    for j in range(a.shape[1]):
+        col = a[:, j : j + 1]
+        images = np.hstack([images, images + col, images - col])
+        masks = np.concatenate([masks, masks | (1 << j), masks | (1 << j)])
+    order = np.argsort(masks, kind="stable")
+    starts = np.searchsorted(masks[order], np.arange(1 << a.shape[1]))
+    return np.ascontiguousarray(images[:, order]), starts
+
+
+def _half_signed(h: int):
+    """Yield (y, mask) for y = 0 and each y in {-1, 0, 1}^h whose first
+    nonzero entry is +1; bit i of mask is set when y_i != 0."""
+    yield np.zeros(h), 0
+    for lead in range(h):
+        for tail in product((-1.0, 0.0, 1.0), repeat=h - 1 - lead):
+            y = (0.0,) * lead + (1.0,) + tail
+            yield np.array(y), sum(1 << i for i, v in enumerate(y) if v)
+
+
+def herdisc_exact(a) -> float:
+    """Hereditary discrepancy: the max of disc_exact over nonempty column
+    subsets. Requires n <= 16 (total work ~ m 3^n).
+
+    disc_exact of the columns S is the least ||A x||_inf over the x in
+    {-1, 0, 1}^n with support S. The last k columns are low, k the most
+    (at least 1) with m 3^k <= BLOCK_ENTRIES: the images of all low
+    vectors form one m x 3^k table, its columns grouped by support. The
+    high vectors y whose first nonzero is +1, and y = 0, are walked one
+    at a time; by sign symmetry they cover every x up to its negation.
+    Each step takes the sup norms of the table shifted by A_high y in
+    one reduction, the least of each low support by np.minimum.reduceat
+    over the groups, and folds those into the row of y's support.
     """
     a = as_matrix(a)
     m, n = a.shape
     if n > HERDISC_VARS_CAP:
         raise RefusedError(f"herdisc_exact caps at {HERDISC_VARS_CAP} columns, got {n}")
-    table = _sign_table(_low_vars(m, n - 1))
-    best = 0.0
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if (mask >> j) & 1]
-        v, _ = _gray_walk(a[:, cols], _sup_norms, table, stop=best)
-        best = max(best, float(v))
-    return best
+    k = 1
+    while k < n and m * 3 ** (k + 1) <= BLOCK_ENTRIES:
+        k += 1
+    low, starts = _signed_images(a[:, n - k :])
+    high = a[:, : n - k]
+    mins = np.full((1 << (n - k), starts.size), inf)  # [high support, low support]
+    block = np.empty_like(low)
+    for y, mask in _half_signed(n - k):
+        np.add(low, (high @ y)[:, None], out=block)
+        row = mins[mask]
+        np.minimum(row, np.minimum.reduceat(_sup_norms(block), starts), out=row)
+    # the empty support's entry is ||A 0||_inf = 0, so it never sets the max
+    return float(mins.max())
 
 
 def disc_p_exact(a, p: float, w=None) -> ColoringResult:
@@ -255,17 +298,56 @@ def _det_budget(m: int, n: int, k_max: int) -> int:
     return sum(comb(m, k) * comb(n, k) for k in range(1, k_max + 1))
 
 
+def _colex(prev: np.ndarray, binom: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """The k-subsets of range(n) of colex ranks lo..hi-1, as rows of
+    increasing ints, from all (k-1)-subsets prev in colex order.
+
+    The k-subsets whose largest element is c are the first C(c, k-1)
+    rows of prev, each followed by c.
+    """
+    sizes = binom[:n, prev.shape[1]]
+    ends = np.cumsum(sizes)
+    t = np.arange(lo, hi)
+    top = np.searchsorted(ends, t, side="right")
+    return np.column_stack([prev[t - ends[top] + sizes[top]], top])
+
+
+def _drop_ranks(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Entry [j, t] is the colex rank of sets[t] without its j-th element.
+
+    The colex rank of s_0 < ... < s_{k-1} is sum_i C(s_i, i+1); dropping
+    s_j moves each later element down one place.
+    """
+    k = sets.shape[1]
+    stay = binom[sets, np.arange(1, k + 1)]
+    moved = binom[sets, np.arange(k)]
+    out = np.empty((k, sets.shape[0]), dtype=np.int64)
+    for j in range(k):
+        out[j] = stay[:, :j].sum(axis=1) + moved[:, j + 1 :].sum(axis=1)
+    return out
+
+
 def detlb_exact(a, k_max: int) -> float:
     """Determinant lower bound max_{k <= k_max} max_B |det B|^{1/k}
-    over all k x k submatrices B, by full enumeration in stacks of at
-    most BLOCK_ENTRIES entries, one np.linalg.det per stack.
+    over all k x k submatrices B, by full enumeration level by level.
+
+    The minors of level k, for all k-subsets R of rows and C of columns
+    in colex order, come from those of level k-1 by Laplace expansion
+    along R's first row r_0:
+    D_k[R, C] = sum_j (-1)^j a[r_0, c_j] D_{k-1}[R - r_0, C - c_j].
+    Only level k-1 is kept whole. Level k is computed in chunks of
+    column subsets whose k terms hold at most BLOCK_ENTRIES entries in
+    all, and the last level only for its max. On integer matrices every
+    minor is exact, where an LU factorization rounds.
 
     Refuses when the enumeration budget
     sum_k C(m,k) C(n,k) exceeds 10^7; lower k_max in that case.
     """
     a = as_matrix(a)
+    if a.shape[0] > a.shape[1]:
+        a = a.T  # |det| is transpose-invariant; rows become the short side
     m, n = a.shape
-    k_max = min(k_max, m, n)
+    k_max = min(k_max, m)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = _det_budget(m, n, k_max)
@@ -273,17 +355,34 @@ def detlb_exact(a, k_max: int) -> float:
         raise RefusedError(
             f"enumeration budget {budget} exceeds {DET_BUDGET}; lower k_max"
         )
-    best = 0.0
-    for k in range(1, k_max + 1):
-        col_chunk = min(comb(n, k), max(1, BLOCK_ENTRIES // (k * k)))
-        row_chunk = max(1, BLOCK_ENTRIES // (k * k * col_chunk))
-        top = 0.0
-        for cols in _combination_chunks(n, k, col_chunk):
-            for rows in _combination_chunks(m, k, row_chunk):
-                subs = a[rows[:, None, :, None], cols[None, :, None, :]]
-                top = max(top, float(np.abs(np.linalg.det(subs)).max()))
-        if top > 0:
-            best = max(best, top ** (1.0 / k))
+    binom = np.array([[comb(c, i) for i in range(k_max + 1)] for c in range(n + 1)])
+    rows, cols = np.arange(m)[:, None], np.arange(n)[:, None]
+    level = a
+    best = float(np.abs(a).max())
+    for k in range(2, k_max + 1):
+        rows = _colex(rows, binom, m, 0, comb(m, k))
+        first, rest = rows[:, :1], _drop_ranks(rows, binom)[0][:, None]
+        total = comb(n, k)
+        chunk = max(1, BLOCK_ENTRIES // (k * max(len(rows), k)))
+        kept = np.empty((len(rows), total)) if k < k_max else None
+        sets, top = [], 0.0
+        for lo in range(0, total, chunk):
+            s = _colex(cols, binom, n, lo, min(lo + chunk, total))
+            drop = _drop_ranks(s, binom)
+            block = a[first, s[:, 0]] * level[rest, drop[0]]
+            for j in range(1, k):
+                term = a[first, s[:, j]] * level[rest, drop[j]]
+                if j % 2:
+                    block -= term
+                else:
+                    block += term
+            top = max(top, float(np.abs(block).max()))
+            if kept is not None:
+                kept[:, lo : lo + len(s)] = block
+                sets.append(s)
+        if kept is not None:
+            cols, level = np.concatenate(sets), kept
+        best = max(best, top ** (1.0 / k))
     return best
 
 

@@ -1,6 +1,7 @@
 """Exhaustive discrepancy oracles and determinant lower bounds."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -153,9 +154,10 @@ def test_herdisc_matches_subset_brute_force():
     rng = np.random.default_rng(54)
     mats = [random_binary(rng, 4, 6) for _ in range(4)]
     mats += [rng.integers(-2, 3, size=(4, 6)).astype(float) for _ in range(4)]
-    # rows repeated 500 times: k = 4 low variables, so the larger subsets
-    # walk several blocks and the early stop is exercised
+    # rows repeated 500 times: 2 low columns, so the walk takes 122 steps
     mats += [np.tile(tn_matrix(7), (500, 1)), np.tile(random_binary(rng, 8, 7), (500, 1))]
+    gaussian = np.random.default_rng(57)
+    mats += [gaussian.standard_normal((4, 6)) for _ in range(2)]
     for a in mats:
         n = a.shape[1]
         want = max(
@@ -163,7 +165,23 @@ def test_herdisc_matches_subset_brute_force():
             for k in range(1, n + 1)
             for cols in itertools.combinations(range(n), k)
         )
-        assert herdisc_exact(a) == want
+        if np.array_equal(a, np.round(a)):
+            assert herdisc_exact(a) == want
+        else:
+            # image sums are added in another order than a @ x
+            assert abs(herdisc_exact(a) - want) <= 1e-12 * want
+
+
+def test_herdisc_memory_is_blocked():
+    a = np.tile(tn_matrix(7), (500, 1))
+    tracemalloc.start()
+    try:
+        herdisc_exact(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one image table of m x 3^2 entries and one block like it
+    assert peak < 4 * 2**20
 
 
 def test_herdisc_monotone():
@@ -262,19 +280,38 @@ def test_detlb_paper_pair():
 def test_detlb_identity():
     for n in (2, 4):
         assert abs(detlb_exact(np.eye(n), n) - 1.0) < 1e-12
+    # Sylvester's Hadamard matrix of order 8: |det| = 8^4 = 4096, exact
+    # on integer input, where an LU factorization rounds
+    h8 = np.array([[1.0]])
+    for _ in range(3):
+        h8 = np.block([[h8, h8], [h8, -h8]])
+    assert detlb_exact(h8, 8) == math.sqrt(8)
+
+
+def brute_detlb(a, k_max):
+    m, n = a.shape
+    best = 0.0
+    for k in range(1, k_max + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                sub = a[np.ix_(rows, cols)]
+                best = max(best, abs(np.linalg.det(sub)) ** (1.0 / k))
+    return best
 
 
 def test_detlb_matches_brute_force():
     rng = np.random.default_rng(48)
     for _ in range(4):
         a = rng.integers(-2, 3, size=(3, 4)).astype(float)
-        best = 0.0
-        for k in (1, 2, 3):
-            for rows in itertools.combinations(range(3), k):
-                for cols in itertools.combinations(range(4), k):
-                    sub = a[np.ix_(rows, cols)]
-                    best = max(best, abs(np.linalg.det(sub)) ** (1.0 / k))
+        best = brute_detlb(a, 3)
         assert abs(detlb_exact(a, 3) - best) < 1e-9 * max(best, 1.0)
+    # floats: the Laplace expansion rounds, differently from LU
+    gaussian = np.random.default_rng(58)
+    for _ in range(2):
+        a = gaussian.standard_normal((4, 5))
+        for k_max in (1, 2, 3, 4):
+            best = brute_detlb(a, k_max)
+            assert abs(detlb_exact(a, k_max) - best) <= 1e-12 * best
 
 
 def test_detlb_memory_is_chunked():
