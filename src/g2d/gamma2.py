@@ -562,6 +562,13 @@ def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
     )
 
 
+def _quarter_exponent(a: np.ndarray) -> int:
+    """The k with max|a| / 4^k in [1, 4), and 0 for the zero matrix.
+    Dividing by 4^k is exact, and 4^k = 1 for every 0/1 matrix."""
+    top = float(np.abs(a).max())
+    return (math.frexp(top)[1] - 1) // 2 if top else 0
+
+
 def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     """Two-sided certified gamma_2 computation.
 
@@ -571,17 +578,26 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     before returning it. gamma_2 of a block-diagonal matrix is the max
     over its blocks, so each block's ascent only has to find its own
     optimum. ``tol`` >= 0 is the relative gap tolerance.
+
+    Each block is solved divided by 4^k, with its max |entry| / 4^k in
+    [1, 4), and scaled back: gamma_2(4^k X) = 4^k gamma_2(X), with the
+    factors 2^k B and 2^k C and the same weights. So no bound or factor
+    underflows or overflows on a matrix far from unit scale.
     """
     a = as_matrix(a)
     m, n = a.shape
     _check_tol(tol)
-    if float(np.abs(a).max()) == 0.0:
+    blocks = _support_blocks(a)
+    if not blocks:  # the zero matrix
         return _zero_certificate(m, n)
     parts = []
-    for rows, cols in _support_blocks(a):
+    for rows, cols in blocks:
         # the block keeps A's memory order, on which BLAS rounding depends
         block = np.empty_like(a, shape=(rows.size, cols.size))
         block[...] = a[np.ix_(rows, cols)]
+        k = _quarter_exponent(block)
+        if k:
+            np.ldexp(block, -2 * k, out=block)
         dual = gamma2_lower_dual(block, tol=tol)
         lower, p, q = dual
         upper, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
@@ -591,6 +607,9 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
                 f"certified lower {lower} exceeds certified upper {upper}"
             )
         lower = min(lower, upper)  # guard fp-rounding at closed gaps
+        if k:
+            lower, upper = math.ldexp(lower, 2 * k), math.ldexp(upper, 2 * k)
+            b, c = np.ldexp(b, k), np.ldexp(c, k)
         parts.append((rows, cols, (lower, p, q), (upper, b, c)))
     cert = _assemble(a, parts, tol)
     check_certificate(cert, a)
@@ -623,9 +642,8 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     if not all(np.isfinite(x).all() for x in (p, q, b, c)):
         raise CertificateError("weights or factors have non-finite entries")
 
-    scale = max(cert.upper, 1.0)
     report: dict[str, float] = {}
-    if not (cert.lower <= cert.upper + CHECK_RTOL * scale):
+    if not (cert.lower <= cert.upper + CHECK_RTOL * cert.upper):
         raise CertificateError(
             f"lower {cert.lower} > upper {cert.upper} + slack"
         )
@@ -637,7 +655,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
         lb = dual_value(a, p, q)
     except ValueError as err:  # negative weights, or sums off 1
         raise CertificateError(f"dual {err}") from None
-    if cert.lower > lb + CHECK_RTOL * scale:
+    if cert.lower > lb + CHECK_RTOL * cert.upper:
         raise CertificateError(
             f"stored lower {cert.lower} not reproduced by weights ({lb})"
         )
@@ -648,26 +666,33 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
         )
     report["dual_value"] = lb
 
+    # the factors are checked at the solve's unit scale, as B / 2^k,
+    # C / 2^k, A / 4^k and upper / 4^k, where no norm underflows or
+    # overflows; every check compares a ratio, which the scaling keeps
+    k = _quarter_exponent(a)
+    upper = math.ldexp(cert.upper, -2 * k)
+    if k:
+        a, b, c = np.ldexp(a, -2 * k), np.ldexp(b, -k), np.ldexp(c, -k)
     resid = float(np.linalg.norm(b @ c - a))
     fro = float(np.linalg.norm(a))
     if resid > CHECK_RTOL * max(fro, 1e-300):
         raise CertificateError(
-            f"factorization residual {resid:.3e} above {CHECK_RTOL:.1e} * ||A||_F"
+            f"factorization residual {math.ldexp(resid, 2 * k):.3e} above {CHECK_RTOL:.1e} * ||A||_F"
         )
-    report["factorization_residual"] = resid
+    report["factorization_residual"] = math.ldexp(resid, 2 * k)
 
     # E(upper * B B^T) has height sqrt(upper * max_i ||B_i||^2), at most
     # upper when every ||B_i||^2 <= upper; with upper = 0 it is {0}
     row = float(np.max(np.sum(b * b, axis=1)))
-    if cert.upper > 0 and row > cert.upper * (1.0 + CHECK_RTOL):
+    if upper > 0 and row > upper * (1.0 + CHECK_RTOL):
         raise CertificateError(
-            f"factor norms: max row norm^2 of B {row} above upper {cert.upper}"
+            f"factor norms: max row norm^2 of B {math.ldexp(row, 2 * k)} above upper {cert.upper}"
         )
-    report["worst_row_norm"] = row / cert.upper if cert.upper > 0 else 0.0
+    report["worst_row_norm"] = row / upper if upper > 0 else 0.0
     # each column a_j = B c_j lies in E(upper * B B^T) when ||c_j||^2 <=
     # upper: z^T a_j = (B^T z)^T c_j <= ||c_j|| * sqrt(z^T B B^T z)
     col = float(np.max(np.sum(c * c, axis=0)))
-    worst = col / cert.upper if cert.upper > 0 else (np.inf if col > 0 else 0.0)
+    worst = col / upper if upper > 0 else (np.inf if col > 0 else 0.0)
     if fro > 0 and worst > 1.0 + CHECK_RTOL:
         raise CertificateError(
             f"column membership value {worst} above 1 + {CHECK_RTOL:.1e}"

@@ -14,7 +14,8 @@ Small-scale oracles used to validate the certified gamma_2 sandwich:
   it per high vector;
 * detlb_exact: the determinant lower bound max_k max_B |det B|^{1/k}
   over k x k submatrices, level by level, each k x k minor from those
-  of level k-1 by Laplace expansion along its first row;
+  of level k-1 by Laplace expansion along its last column, read as
+  row gathers of prefix slices of level k-1;
 * detlb2_exact: its L_2 variant max_J sqrt(|J|/m) |det A_J^T A_J|^{1/2|J|}
   over column subsets, one np.linalg.det per stack of Gram matrices;
 * detlb_bucketing: a constructive witness extraction that buckets the
@@ -28,8 +29,9 @@ enumeration budgets, raising RefusedError) rather than truncating
 silently. Each numpy call handles a whole block of candidates: a block
 of colorings, a table of signed images (of at least 3 columns), a stack
 of submatrices or a chunk of minors holds at most BLOCK_ENTRIES float64
-entries; detlb_exact also keeps one level of minors whole. Enumerations are deterministic: ties go to the
-lexicographically smallest coloring, by an integer key per coloring.
+entries; detlb_exact also keeps one level of minors whole.
+Enumerations are deterministic: ties go to the lexicographically
+smallest coloring, by an integer key per coloring.
 """
 
 from __future__ import annotations
@@ -298,16 +300,16 @@ def _det_budget(m: int, n: int, k_max: int) -> int:
     return sum(comb(m, k) * comb(n, k) for k in range(1, k_max + 1))
 
 
-def _colex(prev: np.ndarray, binom: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """The k-subsets of range(n) of colex ranks lo..hi-1, as rows of
-    increasing ints, from all (k-1)-subsets prev in colex order.
+def _colex(prev: np.ndarray, binom: np.ndarray, n: int) -> np.ndarray:
+    """All k-subsets of range(n) in colex order, as rows of increasing
+    ints, from all (k-1)-subsets prev in colex order.
 
     The k-subsets whose largest element is c are the first C(c, k-1)
     rows of prev, each followed by c.
     """
     sizes = binom[:n, prev.shape[1]]
     ends = np.cumsum(sizes)
-    t = np.arange(lo, hi)
+    t = np.arange(ends[-1])
     top = np.searchsorted(ends, t, side="right")
     return np.column_stack([prev[t - ends[top] + sizes[top]], top])
 
@@ -331,13 +333,18 @@ def detlb_exact(a, k_max: int) -> float:
     """Determinant lower bound max_{k <= k_max} max_B |det B|^{1/k}
     over all k x k submatrices B, by full enumeration level by level.
 
-    The minors of level k, for all k-subsets R of rows and C of columns
-    in colex order, come from those of level k-1 by Laplace expansion
-    along R's first row r_0:
-    D_k[R, C] = sum_j (-1)^j a[r_0, c_j] D_{k-1}[R - r_0, C - c_j].
-    Only level k-1 is kept whole. Level k is computed in chunks of
-    column subsets whose k terms hold at most BLOCK_ENTRIES entries in
-    all, and the last level only for its max. On integer matrices every
+    The minors of level k, for all k-subsets R = {r_0 < ... < r_{k-1}}
+    of rows and C of columns in colex order, come from those of level
+    k-1 by Laplace expansion along C's last column c:
+    D_k[R, C] = sum_j (-1)^j a[r_j, c] D_{k-1}[R - r_j, C - c].
+    This is det A[R, C] times one sign per level, and only |D_k| is
+    read. In colex order the column sets whose largest element is c are
+    the first C(c, k-1) column sets of level k-1, each followed by c,
+    so each term is a row gather of a prefix slice of level k-1, and
+    level k's columns come out in colex order. Only level k-1 is kept
+    whole. Level k is computed for each c in chunks of row subsets,
+    k * rows * C(c, k-1) <= BLOCK_ENTRIES (at least one row per chunk),
+    and the last level only for its max. On integer matrices every
     minor is exact, where an LU factorization rounds.
 
     Refuses when the enumeration budget
@@ -356,32 +363,32 @@ def detlb_exact(a, k_max: int) -> float:
             f"enumeration budget {budget} exceeds {DET_BUDGET}; lower k_max"
         )
     binom = np.array([[comb(c, i) for i in range(k_max + 1)] for c in range(n + 1)])
-    rows, cols = np.arange(m)[:, None], np.arange(n)[:, None]
-    level = a
+    rows, level = np.arange(m)[:, None], a
     best = float(np.abs(a).max())
     for k in range(2, k_max + 1):
-        rows = _colex(rows, binom, m, 0, comb(m, k))
-        first, rest = rows[:, :1], _drop_ranks(rows, binom)[0][:, None]
-        total = comb(n, k)
-        chunk = max(1, BLOCK_ENTRIES // (k * max(len(rows), k)))
-        kept = np.empty((len(rows), total)) if k < k_max else None
-        sets, top = [], 0.0
-        for lo in range(0, total, chunk):
-            s = _colex(cols, binom, n, lo, min(lo + chunk, total))
-            drop = _drop_ranks(s, binom)
-            block = a[first, s[:, 0]] * level[rest, drop[0]]
-            for j in range(1, k):
-                term = a[first, s[:, j]] * level[rest, drop[j]]
-                if j % 2:
-                    block -= term
-                else:
-                    block += term
-            top = max(top, float(np.abs(block).max()))
-            if kept is not None:
-                kept[:, lo : lo + len(s)] = block
-                sets.append(s)
-        if kept is not None:
-            cols, level = np.concatenate(sets), kept
+        rows = _colex(rows, binom, m)
+        drop = _drop_ranks(rows, binom)
+        kept = np.empty((len(rows), comb(n, k))) if k < k_max else None
+        top = 0.0
+        for c in range(k - 1, n):
+            width, at = comb(c, k - 1), comb(c, k)
+            chunk = max(1, BLOCK_ENTRIES // (k * width))
+            for lo in range(0, len(rows), chunk):
+                r = slice(lo, lo + chunk)
+                coef = a[rows[r], c]
+                block = level[drop[0, r], :width]
+                block *= coef[:, :1]
+                for j in range(1, k):
+                    term = level[drop[j, r], :width]
+                    term *= coef[:, j : j + 1]
+                    if j % 2:
+                        block -= term
+                    else:
+                        block += term
+                top = max(top, float(np.abs(block).max()))
+                if kept is not None:
+                    kept[r, at : at + width] = block
+        level = kept
         best = max(best, top ** (1.0 / k))
     return best
 

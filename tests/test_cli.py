@@ -9,7 +9,7 @@ import pytest
 
 import g2d
 from g2d.cli import main, parse_ns
-from g2d.gamma2 import read_certificate
+from g2d.gamma2 import check_certificate, read_certificate
 from g2d.linalg import read_matrix, tn_matrix, write_matrix
 from g2d.setsystems import power_set, write_set_system
 
@@ -99,6 +99,16 @@ def test_solve_command_writes_certificate(tmp_path, capsys):
     assert abs(cert.upper - 2.0 / np.sqrt(3.0)) < 1e-4
     stdout = capsys.readouterr().out
     assert "upper=" in stdout
+
+
+def test_solve_command_at_extreme_scale(tmp_path):
+    path = tmp_path / "t4.txt"
+    write_matrix(path, 1e-300 * tn_matrix(4))
+    cert_path = tmp_path / "t4.cert.txt"
+    assert main(["solve", "--in", str(path), "--out", str(cert_path)]) == 0
+    cert = read_certificate(cert_path)
+    assert cert.converged
+    check_certificate(cert, read_matrix(path))
 
 
 @pytest.mark.parametrize("tol", ["nan", "-0.5"])

@@ -1,7 +1,9 @@
 """Factorization-norm solver: primal/dual bounds, certificates, ellipsoids."""
 
 import dataclasses
+import functools
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -737,6 +739,57 @@ def test_certificate_checker_rejects_malformed_parts(a, tamper):
     bad = tamper(gamma2(a))
     with pytest.raises(CertificateError):
         check_certificate(bad, a)
+
+
+@pytest.mark.parametrize(
+    "scale, n",
+    [(1e-300, 4), (1e-160, 4), (1e155, 4), (1e200, 6)],
+    ids=["1e-300_T4", "1e-160_T4", "1e155_T4", "1e200_T6"],
+)
+def test_gamma2_solves_at_unit_scale(scale, n):
+    # the block is solved divided by 4^k, max|A| / 4^k in [1, 4); solved
+    # as given, the factors or the certified value underflow or overflow
+    a = scale * tn_matrix(n)
+    k = (math.frexp(scale)[1] - 1) // 2
+    cert = gamma2(a)
+    assert cert.converged
+    check_certificate(cert, a)
+    assert math.ldexp(cert.upper, -2 * k) == gamma2(np.ldexp(a, -2 * k)).upper
+
+
+@functools.cache
+def _scaled_certificate(scale, n):
+    return gamma2(scale * tn_matrix(n))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (
+            lambda c: dataclasses.replace(
+                c, factor_left=c.factor_left / 10.0, factor_right=c.factor_right * 10.0
+            ),
+            "membership",
+        ),
+        (lambda c: dataclasses.replace(c, factor_right=c.factor_right * 1.5), "residual"),
+        (lambda c: dataclasses.replace(c, lower=c.lower * (1.0 + 1e-6)), "not reproduced"),
+    ],
+    ids=["C_x10_B_div10", "C_x1.5", "lower_up_1e-6"],
+)
+@pytest.mark.parametrize(
+    "scale, n", [(1.0, 4), (1e-300, 4), (1.0, 8), (2.0**-10, 8)], ids=["T4", "1e-300_T4", "T8", "2^-10_T8"]
+)
+def test_certificate_checker_is_scale_free(scale, n, tamper, message):
+    # the residual is taken at unit scale and the slacks on lower are
+    # relative to upper, so a tamper caught at scale 1 is caught at any
+    # scale: at 1e-300 the norms of A and of B C - A taken as given
+    # underflow to 0, and at 2^-10 a slack absolute below 1 would pass
+    # the raised lower
+    a = scale * tn_matrix(n)
+    cert = _scaled_certificate(scale, n)
+    check_certificate(cert, a)
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(tamper(cert), a)
 
 
 def test_gamma2_solves_tall_block_and_refuses_its_ellipsoid():

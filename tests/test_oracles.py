@@ -299,12 +299,52 @@ def brute_detlb(a, k_max):
     return best
 
 
+def bareiss_det(rows):
+    """The exact determinant of an integer matrix by fraction-free
+    (Bareiss) elimination on Python ints."""
+    m = [[int(x) for x in row] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def exact_detlb_levels(a):
+    """max |det B|^{1/k} over the k x k submatrices B of an integer
+    matrix, for each k = 1..min(m, n), from exact determinants."""
+    m, n = a.shape
+    return [
+        max(
+            float(abs(bareiss_det(a[np.ix_(rows, cols)]))) ** (1.0 / k)
+            for rows in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        )
+        for k in range(1, min(m, n) + 1)
+    ]
+
+
 def test_detlb_matches_brute_force():
     rng = np.random.default_rng(48)
     for _ in range(4):
         a = rng.integers(-2, 3, size=(3, 4)).astype(float)
         best = brute_detlb(a, 3)
         assert abs(detlb_exact(a, 3) - best) < 1e-9 * max(best, 1.0)
+    # integers: every minor is exact, so the values are equal; 7 x 5 is
+    # the transposed path, 3 x 9 has wide levels
+    exact = np.random.default_rng(59)
+    for shape in ((5, 7), (7, 5), (3, 9), (6, 6)):
+        a = exact.integers(-3, 4, size=shape).astype(float)
+        levels = exact_detlb_levels(a)
+        for k_max in range(1, len(levels) + 1):
+            assert detlb_exact(a, k_max) == max(levels[:k_max])
     # floats: the Laplace expansion rounds, differently from LU
     gaussian = np.random.default_rng(58)
     for _ in range(2):
@@ -324,6 +364,19 @@ def test_detlb_memory_is_chunked():
         tracemalloc.stop()
     # one unchunked stack of all C(40, 4) = 91390 submatrices peaks near 25 MB
     assert peak < 4 * 2**20
+
+
+def test_detlb_memory_keeps_one_level():
+    a = random_binary(np.random.default_rng(56), 12, 16)
+    tracemalloc.start()
+    try:
+        detlb_exact(a, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # level 4 holds C(12, 4) x C(16, 4) minors, 7.2 MB; a gathered copy
+    # of it per level would peak above 30 MB
+    assert peak < 10 * 2**20
 
 
 def test_detlb_budget_refusal():
