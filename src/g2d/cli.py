@@ -66,6 +66,10 @@ EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_REFUSED = 3
 
+# The parser, built by the first ``main`` call and reused by later ones:
+# parse_args reads it and never changes it.
+_parser: argparse.ArgumentParser | None = None
+
 
 def parse_ns(text: str) -> list[int]:
     """Parse '2,4,8' or an elided progression '2,4,...,128'."""
@@ -314,8 +318,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
 
     timer = None
     budget = getattr(args, "budget_minutes", None)

@@ -166,13 +166,13 @@ def certify(a: np.ndarray, shape: np.ndarray):
     lmax = float(lam[-1]) if lam.size else 0.0
     if lmax <= 0.0:
         return np.inf, None, None
-    lam = np.clip(lam, 0.0, None) + _REG_RTOL * lmax
-    w = vec.T @ a
-    eta = float(np.max(np.sum(w * w / lam[:, None], axis=0)))
+    lam = np.maximum(lam, 0.0) + _REG_RTOL * lmax
+    w = vec.T.dot(a)
+    eta = float((w * w / lam[:, None]).sum(axis=0).max())
     if eta <= 0.0:  # a == 0
         m, n = a.shape
         return 0.0, np.zeros((m, 1)), np.zeros((1, n))
-    d = eta * ((vec * lam) @ vec.T)
-    value = float(np.sqrt(float(np.max(np.diag(d)))))
+    # max diag D = eta * max diag V (L + reg) V^T: rounding keeps order
+    value = float(np.sqrt(eta * float((vec * lam).dot(vec.T).diagonal().max())))
     root = np.sqrt(eta * lam / value)
     return value, vec * root, w / root[:, None]

@@ -34,7 +34,8 @@ The solve path:
 1. split A into the connected components of its row-column support
    graph, one block if A is connected; gamma_2 of a block-diagonal
    matrix is the max over its blocks, so each block runs steps 2-4
-   alone and one assembly builds the certificate of A;
+   alone and one assembly builds the certificate of A. A block that
+   holds every row and column is A itself, and its certificate is A's;
 2. dual ascent for (p, q) from uniform weights: monotone alternating
    maximization of the variational form
    ||M||_* = max_{||Z||_2 <= 1} <M, Z> in x = sqrt(p), y = sqrt(q),
@@ -115,8 +116,11 @@ DUAL_BETA_MAX = 8.0
 # small-side Gram matrix instead of an SVD. At one BLAS thread a step
 # took 140 -> 47 us on 14x242, 184 -> 94 us on 158x24, 375 -> 275 us on
 # 48x48 and 2.9 -> 0.5 ms on 32x1637. On blocks of 8x16 and smaller,
-# eigh and the extra products cost more than the SVD saves: the
-# criterion-8 solves ran 9% slower on the Gram path.
+# eigh and the extra products cost about what the SVD saves: the 400
+# criterion-8 solves ran 9% slower on the Gram path while each step
+# made two extrapolations, and at the same speed (time ratio 1.02,
+# quartiles 0.93 and 1.07 over 30 alternating rounds) once the step
+# made one, so the threshold stays and keeps their certificates.
 GRAM_MIN_SIDE = 8
 
 # The Gram path is taken only when its smallest eigenvalue exceeds
@@ -191,13 +195,17 @@ def dual_value(a, p, q) -> float:
     """Nuclear norm of diag(p)^1/2 A diag(q)^1/2; a lower bound on
     gamma_2(A) for any probability vectors p, q. Raises ValueError
     unless p and q are nonnegative and each sums to 1 within 1e-9."""
-    a = as_matrix(a)
+    return _dual_value(as_matrix(a), p, q)
+
+
+def _dual_value(a: np.ndarray, p, q) -> float:
+    """``dual_value`` of a matrix that ``as_matrix`` has validated."""
     p, q = as_weights(a, p, q)
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    m = np.sqrt(np.clip(p, 0.0, None))[:, None] * a
-    m = m * np.sqrt(np.clip(q, 0.0, None))[None, :]
-    return nuclear_norm(m)
+    # the weights are >= -1e-12; the maximum clips them at 0
+    m = np.sqrt(np.maximum(p, 0.0))[:, None] * a * np.sqrt(np.maximum(q, 0.0))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def uniform_nuclear_lower(a) -> float:
@@ -205,21 +213,6 @@ def uniform_nuclear_lower(a) -> float:
     a = as_matrix(a)
     m, n = a.shape
     return nuclear_norm(a) / float(np.sqrt(m * n))
-
-
-def _unit(v: np.ndarray) -> np.ndarray | None:
-    """v / ||v||_2, or None when v is zero or not finite."""
-    norm = math.sqrt(v @ v)
-    return v / norm if 0.0 < norm < np.inf else None
-
-
-def _extrapolate(f: np.ndarray, f_prev: np.ndarray, beta: float) -> np.ndarray | None:
-    """The unit vector f o (f / f_prev)^beta on the entries positive in
-    both, f elsewhere: the geometric step keeps every weight positive
-    that f keeps positive. The caller ignores the floating-point errors
-    of the discarded entries."""
-    both = (f > 0.0) & (f_prev > 0.0)
-    return _unit(np.where(both, f * (f / f_prev) ** beta, f))
 
 
 def _gram_polar(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -249,14 +242,27 @@ def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, va
     x_i, y_j <= 1e-6, which the lift floors, are skipped: their
     quotients are rounding noise. The p-mean of r and the q-mean of c
     are both val, so once max r * val exceeds target^2 this returns inf
-    without computing c.
+    without computing c. The caller ignores the floating-point errors
+    of the quotients it skips.
     """
-    live = x > 1e-6
-    r = float((ay[live] / x[live]).max())
+    r = float(np.where(x > 1e-6, ay / x, -np.inf).max())
     if r * val > target * target:
         return np.inf
-    live = y > 1e-6
-    return math.sqrt(r * float(((az.T @ x)[live] / y[live]).max()))
+    return math.sqrt(r * float(np.where(y > 1e-6, az.T.dot(x) / y, -np.inf).max()))
+
+
+def _quarter_exponent(a: np.ndarray) -> int | None:
+    """The k with max|a| / 4^k in [1, 4), and None for the zero matrix.
+    Dividing by 4^k is exact, and 4^k = 1 for every 0/1 matrix."""
+    top = float(np.abs(a).max())
+    return (math.frexp(top)[1] - 1) // 2 if top else None
+
+
+def _scaled_up(cert: tuple, k: int) -> tuple:
+    """The certificate (value, B, C) of X turned into that of 4^k X:
+    (4^k value, 2^k B, 2^k C), all exact."""
+    value, b, c = cert
+    return math.ldexp(value, 2 * k), np.ldexp(b, k), np.ldexp(c, k)
 
 
 def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
@@ -274,15 +280,17 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     The plain step F is closed form: given Z and y, maximizing
     sum_i x_i c_i with c = (A o Z) y over the unit sphere gives
     x = c_+ / ||c_+||, and likewise y = r_+ / ||r_+|| with
-    r = (A o Z)^T x; it never lowers the value. Each step then tries the
-    geometric extrapolation F o (F / F')^beta of F's output along its
-    previous output F', one evaluation, and keeps it if its value is at
-    least the current one, raising beta by DUAL_BETA_GROWTH up to
-    DUAL_BETA_MAX. Otherwise beta resets to DUAL_BETA_RESET and the
-    plain point F is taken, one more evaluation
-    (adaptive restart, as in O'Donoghue & Candes, FoCM 2015). Every
-    iterate is feasible, hence a valid lower bound, and the values do
-    not decrease.
+    r = (A o Z)^T x; it never lowers the value. The step keeps F's two
+    halves in one vector of length m + n. It then tries the geometric
+    extrapolation F o (F / F')^beta of F along its previous value F',
+    on the entries positive in both and F elsewhere, in one pass over
+    that vector with each half renormalized: one evaluation. It keeps
+    the extrapolated point if its value is at least the current one,
+    raising beta by DUAL_BETA_GROWTH up to DUAL_BETA_MAX. Otherwise
+    beta resets to DUAL_BETA_RESET and the plain point F is taken, one
+    more evaluation (adaptive restart, as in O'Donoghue & Candes, FoCM
+    2015). Every iterate is feasible, hence a valid lower bound, and
+    the values do not decrease.
 
     The ascent stops at the first point whose weights, lifted on the
     small side of A by ``_lift``, certify an upper bound of at most
@@ -298,17 +306,32 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     evaluations, and the closing lift of its best point, made unless
     its last lift was of that point, counts as one of them.
 
+    The ascent runs on A / 4^k, with max|A| / 4^k in [1, 4), so that no
+    value or factor underflows or overflows; the value and the lift's
+    certificate are scaled back by 4^k, and the weights are those of A.
+
     Returns the lift of the best iterate as a ``_DualBound``: it
     unpacks as (value, p, q), the lift's floored weights and their SVD
     value ``dual_value(a, p, q)``, and carries the lift's certificate,
     which ``gamma2_upper`` takes as its upper bound.
     """
     a = as_matrix(a)
-    m, n = a.shape
     _check_tol(tol)
-    x, y = np.full(m, 1.0 / np.sqrt(m)), np.full(n, 1.0 / np.sqrt(n))
-    if float(np.abs(a).max()) == 0.0:
+    k = _quarter_exponent(a)
+    if k is None:  # the zero matrix
+        x, y = (np.full(side, 1.0 / np.sqrt(side)) for side in a.shape)
         return _DualBound(0.0, x * x, y * y, a, None)
+    cert, (value, p, q) = _ascent(np.ldexp(a, -2 * k) if k else a, tol)
+    if k:
+        value, cert = math.ldexp(value, 2 * k), _scaled_up(cert, k)
+    return _DualBound(value, p, q, a, cert)
+
+
+def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]]:
+    """The ascent of ``gamma2_lower_dual`` on a nonzero ``a``; returns
+    the ``_lift`` of its best iterate."""
+    m, n = a.shape
+    x, y = np.full(m, 1.0 / math.sqrt(m)), np.full(n, 1.0 / math.sqrt(n))
     # the closing lift of the best point is one of the steps
     steps = 1
     # cleared by the first Gram matrix that fails the conditioning
@@ -318,26 +341,28 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     def evaluate(x, y):
         nonlocal steps, eig
         steps += 1
-        mat = x[:, None] * a * y[None, :]
-        polar = _gram_polar(mat) if eig else None
-        if polar is not None:
-            return polar[0], a * polar[1]
-        eig = False
+        mat = x[:, None] * a * y
+        if eig:
+            polar = _gram_polar(mat)
+            if polar is not None:
+                return polar[0], a * polar[1]
+            eig = False
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        return float(s.sum()), a * (u @ vt)
+        return float(s.sum()), a * u.dot(vt)
 
     val, az = evaluate(x, y)
     best = (val, x, y)
     # the last lift and the iterate it lifted
     lift = lifted = None
     armed = True
+    # the previous plain step, its x and y halves in one vector
     prev = None
     beta = DUAL_BETA_RESET
     # the extrapolation divides by zero weights and overflows on
-    # entries that it then discards
+    # entries that it then discards, and so does _lift_guess
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while steps < DUAL_MAX_STEPS:
-            ay = az @ y
+            ay = az.dot(y)
             if armed and best[1] is x:  # the current point is the best
                 target = _target(val, tol)
                 if _lift_guess(az, x, y, ay, val, target) <= target:
@@ -345,14 +370,31 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
                     if lift[0][0] <= target:
                         break
                     armed = False
-            fx = _unit(np.maximum(ay, 0.0))
-            fy = None if fx is None else _unit(np.maximum(az.T @ fx, 0.0))
-            if fy is None:
+            f = np.empty(m + n)
+            fx, fy = f[:m], f[m:]
+            np.maximum(ay, 0.0, out=fx)
+            norm = math.sqrt(fx.dot(fx))
+            if not 0.0 < norm < np.inf:
                 break
+            fx /= norm
+            np.maximum(az.T.dot(fx), 0.0, out=fy)
+            norm = math.sqrt(fy.dot(fy))
+            if not 0.0 < norm < np.inf:
+                break
+            fy /= norm
             trial = None
             if prev is not None:
-                ex, ey = _extrapolate(fx, prev[0], beta), _extrapolate(fy, prev[1], beta)
-                if ex is not None and ey is not None:
+                # f o (f / prev)^beta is f where f = 0 < prev, and f
+                # replaces its inf and nan where prev = 0
+                e = f / prev
+                e **= beta
+                e *= f
+                np.copyto(e, f, where=prev == 0.0)
+                ex, ey = e[:m], e[m:]
+                nx, ny = math.sqrt(ex.dot(ex)), math.sqrt(ey.dot(ey))
+                if 0.0 < nx < np.inf and 0.0 < ny < np.inf:
+                    ex /= nx
+                    ey /= ny
                     trial = (ex, ey, *evaluate(ex, ey))
             rejected = trial is not None and trial[2] < val
             if trial is not None and not rejected:
@@ -365,13 +407,13 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
                 val, az = evaluate(x, y)
             else:
                 break
-            prev = (fx, fy)
+            prev = f
             if val > best[0]:
                 best = (val, x, y)
     x, y = best[1:]
     if lifted is not x:
         lift = _lift(a, x * x, y * y)
-    return _DualBound(*lift[1], a, lift[0])
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +445,18 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[flo
     the SVD was made at: sum(Sigma) is ``dual_value(a, pf, qf)``.
     """
     pf, qf = _floored(p), _floored(q)
-    mat = np.sqrt(pf)[:, None] * a * np.sqrt(qf)[None, :]
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    w, root, pts = (vt.T, np.sqrt(qf), a.T) if a.shape[0] > a.shape[1] else (u, np.sqrt(pf), a)
-    cert = certify(pts, ((w * s) @ w.T) / root[:, None] / root[None, :])
+    rp, rq = np.sqrt(pf), np.sqrt(qf)
+    u, s, vt = np.linalg.svd(rp[:, None] * a * rq, full_matrices=False)
+    w, root, pts = (vt.T, rq, a.T) if a.shape[0] > a.shape[1] else (u, rp, a)
+    cert = certify(pts, (w * s).dot(w.T) / root[:, None] / root)
     return cert, (float(s.sum()), pf, qf)
 
 
 class _DualBound(tuple):
     """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
     unpacks as a plain triple. ``cert`` is the certificate of the
-    ``_lift`` of these weights, None only for the zero matrix."""
+    ``_lift`` of these weights, made at unit scale and scaled to that
+    of ``a``, None only for the zero matrix."""
 
     def __new__(cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None):
         bound = super().__new__(cls, (value, p, q))
@@ -462,35 +505,42 @@ def gamma2_upper(
     The bound is the ascent's certified small-side lift of its dual
     weights, and only when that misses lower / (1 - tol) and min(m, n) <=
     IP_SIDE_CAP, the interior point on the same side, kept if lower.
+    Like the ascent, the interior point runs on A / 4^k, with
+    max|A| / 4^k in [1, 4), and its certificate is scaled back.
 
     ``dual`` is either None, and the dual ascent runs with this ``tol``,
     or ``gamma2_lower_dual``'s own result for this matrix, which spares
     re-running it; anything else raises TypeError. Its value is the
     lower bound, and the certificate of its lift is the bound before
-    refinement: this function never lifts.
+    refinement: this function never lifts. When ``a`` is the very array
+    that the ascent validated, it is not validated again.
     """
-    a = as_matrix(a)
-    m, n = a.shape
     _check_tol(tol)
-    if dual is not None and not (isinstance(dual, _DualBound) and np.array_equal(dual.a, a)):
-        raise TypeError("dual must be gamma2_lower_dual's result for this matrix")
-    if float(np.abs(a).max()) == 0.0:
-        return 0.0, np.zeros((m, 1)), np.zeros((1, n)), True
-
     if dual is None:
         dual = gamma2_lower_dual(a, tol=tol)
-    lower = dual[0]
-    best = dual.cert
+    elif not isinstance(dual, _DualBound):
+        raise TypeError("dual must be gamma2_lower_dual's result for this matrix")
+    elif dual.a is not a:
+        a = as_matrix(a)
+        if not np.array_equal(dual.a, a):
+            raise TypeError("dual must be gamma2_lower_dual's result for this matrix")
+    a = dual.a
+    m, n = a.shape
+    lower, best = dual[0], dual.cert
+    if best is None:  # the zero matrix
+        return 0.0, np.zeros((m, 1)), np.zeros((1, n)), True
     target = _target(lower, tol)
 
     # interior-point refinement on the same small side; it returns the
     # certificate of the first barrier stage that meets the target, or
     # of its last stage
     if best[0] > target and min(m, n) <= IP_SIDE_CAP:
+        k = _quarter_exponent(a)
+        unit = np.ldexp(a, -2 * k) if k else a
         try:
-            refined = minimum_height_ellipsoid(a.T if m > n else a, target=target)
-            if refined[0] < best[0]:
-                best = refined
+            refined = minimum_height_ellipsoid(unit.T if m > n else unit, target=math.ldexp(target, -2 * k))
+            if math.ldexp(refined[0], 2 * k) < best[0]:
+                best = _scaled_up(refined, k) if k else refined
         except (InteriorPointError, np.linalg.LinAlgError):
             pass
 
@@ -503,26 +553,35 @@ def gamma2_upper(
 def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(rows, cols) of each connected component of the bipartite graph
     whose edges are the nonzeros of a, ordered by first row. All-zero
-    rows and columns belong to no block."""
-    nz = a != 0
+    rows and columns belong to no block.
+
+    A component grows from one row by products with the 0/1 matrix of
+    the nonzeros: the columns that its rows reach, then the rows that
+    those columns reach. Its rows only grow, so it is whole once their
+    count stops changing."""
+    nz = (a != 0).astype(float)
     unseen = nz.any(axis=1)
     blocks = []
     while unseen.any():
-        rows = np.zeros_like(unseen)
-        rows[np.argmax(unseen)] = True
+        rows = np.zeros(a.shape[0])
+        rows[np.argmax(unseen)] = 1.0
+        count = 1
         while True:
-            cols = nz[rows].any(axis=0)
-            grown = nz[:, cols].any(axis=1)
-            if (grown == rows).all():
+            # the products count paths; their signs are the 0/1 sets
+            cols = np.sign(rows.dot(nz))
+            rows = np.sign(nz.dot(cols))
+            grown = np.count_nonzero(rows)
+            if grown == count:
                 break
-            rows = grown
+            count = grown
+        rows = rows > 0.0
         unseen &= ~rows
         blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
     return blocks
 
 
-def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
-    """Certificate of A from the solved blocks.
+def _assemble(a: np.ndarray, parts) -> tuple[tuple, tuple]:
+    """((lower, p, q), (upper, B, C)) of A from the solved blocks.
 
     ``parts`` holds (rows, cols, (lower, p, q), (upper, B, C)) for
     blocks A[rows][:, cols] on disjoint rows and columns that hold
@@ -551,22 +610,22 @@ def _assemble(a: np.ndarray, parts, tol: float) -> Gamma2Certificate:
     p[rows] = pp
     q = np.zeros(n)
     q[cols] = qq
-    return Gamma2Certificate(
-        upper=upper,
-        lower=lower,
-        factor_left=b,
-        factor_right=c,
-        dual_p=p,
-        dual_q=q,
-        converged=bool(upper <= _target(lower, tol)),
-    )
+    return (lower, p, q), (upper, b, c)
 
 
-def _quarter_exponent(a: np.ndarray) -> int:
-    """The k with max|a| / 4^k in [1, 4), and 0 for the zero matrix.
-    Dividing by 4^k is exact, and 4^k = 1 for every 0/1 matrix."""
-    top = float(np.abs(a).max())
-    return (math.frexp(top)[1] - 1) // 2 if top else 0
+def _solve_block(block: np.ndarray, tol: float) -> tuple[tuple, tuple]:
+    """((lower, p, q), (upper, B, C)) of one block: the dual ascent, then
+    the upper-bound stack seeded with its weights."""
+    dual = gamma2_lower_dual(block, tol=tol)
+    lower, p, q = dual
+    upper, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
+    # weak duality must hold between certified quantities
+    if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
+        raise CertificateError(
+            f"certified lower {lower} exceeds certified upper {upper}"
+        )
+    lower = min(lower, upper)  # guard fp-rounding at closed gaps
+    return (lower, p, q), (upper, b, c)
 
 
 def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
@@ -577,12 +636,15 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     with its weights, and re-validates the one assembled certificate
     before returning it. gamma_2 of a block-diagonal matrix is the max
     over its blocks, so each block's ascent only has to find its own
-    optimum. ``tol`` >= 0 is the relative gap tolerance.
+    optimum. A block that covers every row and column is A itself: it
+    is solved as given, and its factors and weights are the
+    certificate. ``tol`` >= 0 is the relative gap tolerance.
 
-    Each block is solved divided by 4^k, with its max |entry| / 4^k in
-    [1, 4), and scaled back: gamma_2(4^k X) = 4^k gamma_2(X), with the
-    factors 2^k B and 2^k C and the same weights. So no bound or factor
-    underflows or overflows on a matrix far from unit scale.
+    Both solvers work on the block divided by 4^k, with its max |entry|
+    / 4^k in [1, 4), and scale back: gamma_2(4^k X) = 4^k gamma_2(X),
+    with the factors 2^k B and 2^k C and the same weights. So no bound
+    or factor underflows or overflows on a matrix far from unit scale,
+    and ``a`` is never changed.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -590,28 +652,25 @@ def gamma2(a, *, tol: float = DEFAULT_TOL) -> Gamma2Certificate:
     blocks = _support_blocks(a)
     if not blocks:  # the zero matrix
         return _zero_certificate(m, n)
-    parts = []
-    for rows, cols in blocks:
-        # the block keeps A's memory order, on which BLAS rounding depends
-        block = np.empty_like(a, shape=(rows.size, cols.size))
-        block[...] = a[np.ix_(rows, cols)]
-        k = _quarter_exponent(block)
-        if k:
-            np.ldexp(block, -2 * k, out=block)
-        dual = gamma2_lower_dual(block, tol=tol)
-        lower, p, q = dual
-        upper, b, c, _ = gamma2_upper(block, tol=tol, dual=dual)
-        # weak duality must hold between certified quantities
-        if lower > upper * (1.0 + 10.0 * max(tol, 1e-12)):
-            raise CertificateError(
-                f"certified lower {lower} exceeds certified upper {upper}"
-            )
-        lower = min(lower, upper)  # guard fp-rounding at closed gaps
-        if k:
-            lower, upper = math.ldexp(lower, 2 * k), math.ldexp(upper, 2 * k)
-            b, c = np.ldexp(b, k), np.ldexp(c, k)
-        parts.append((rows, cols, (lower, p, q), (upper, b, c)))
-    cert = _assemble(a, parts, tol)
+    if blocks[0][0].size == m and blocks[0][1].size == n:
+        (lower, p, q), (upper, b, c) = _solve_block(a, tol)
+    else:
+        parts = []
+        for rows, cols in blocks:
+            # the block keeps A's memory order, on which BLAS rounding depends
+            block = np.empty_like(a, shape=(rows.size, cols.size))
+            block[...] = a[np.ix_(rows, cols)]
+            parts.append((rows, cols, *_solve_block(block, tol)))
+        (lower, p, q), (upper, b, c) = _assemble(a, parts)
+    cert = Gamma2Certificate(
+        upper=upper,
+        lower=lower,
+        factor_left=b,
+        factor_right=c,
+        dual_p=p,
+        dual_q=q,
+        converged=bool(upper <= _target(lower, tol)),
+    )
     check_certificate(cert, a)
     return cert
 
@@ -637,7 +696,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
             f"weight shapes {p.shape}, {q.shape} do not match {a.shape}"
         )
     # upper = inf is a true, if useless, bound
-    if np.isnan(cert.upper) or not np.isfinite(cert.lower):
+    if math.isnan(cert.upper) or not math.isfinite(cert.lower):
         raise CertificateError(f"lower {cert.lower} must be finite, upper {cert.upper} a number")
     if not all(np.isfinite(x).all() for x in (p, q, b, c)):
         raise CertificateError("weights or factors have non-finite entries")
@@ -652,7 +711,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     # the weights first: a bound scaled below what they certify is
     # reported as such, not as the factor-norm excess it also causes
     try:
-        lb = dual_value(a, p, q)
+        lb = _dual_value(a, p, q)
     except ValueError as err:  # negative weights, or sums off 1
         raise CertificateError(f"dual {err}") from None
     if cert.lower > lb + CHECK_RTOL * cert.upper:
@@ -669,11 +728,11 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     # the factors are checked at the solve's unit scale, as B / 2^k,
     # C / 2^k, A / 4^k and upper / 4^k, where no norm underflows or
     # overflows; every check compares a ratio, which the scaling keeps
-    k = _quarter_exponent(a)
+    k = _quarter_exponent(a) or 0
     upper = math.ldexp(cert.upper, -2 * k)
     if k:
         a, b, c = np.ldexp(a, -2 * k), np.ldexp(b, -k), np.ldexp(c, -k)
-    resid = float(np.linalg.norm(b @ c - a))
+    resid = float(np.linalg.norm(b.dot(c) - a))
     fro = float(np.linalg.norm(a))
     if resid > CHECK_RTOL * max(fro, 1e-300):
         raise CertificateError(
@@ -683,7 +742,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
 
     # E(upper * B B^T) has height sqrt(upper * max_i ||B_i||^2), at most
     # upper when every ||B_i||^2 <= upper; with upper = 0 it is {0}
-    row = float(np.max(np.sum(b * b, axis=1)))
+    row = float((b * b).sum(axis=1).max())
     if upper > 0 and row > upper * (1.0 + CHECK_RTOL):
         raise CertificateError(
             f"factor norms: max row norm^2 of B {math.ldexp(row, 2 * k)} above upper {cert.upper}"
@@ -691,7 +750,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     report["worst_row_norm"] = row / upper if upper > 0 else 0.0
     # each column a_j = B c_j lies in E(upper * B B^T) when ||c_j||^2 <=
     # upper: z^T a_j = (B^T z)^T c_j <= ||c_j|| * sqrt(z^T B B^T z)
-    col = float(np.max(np.sum(c * c, axis=0)))
+    col = float((c * c).sum(axis=0).max())
     worst = col / upper if upper > 0 else (np.inf if col > 0 else 0.0)
     if fro > 0 and worst > 1.0 + CHECK_RTOL:
         raise CertificateError(

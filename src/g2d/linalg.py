@@ -52,7 +52,7 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
     if out.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} has non-finite entries")
     return out
 

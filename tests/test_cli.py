@@ -229,6 +229,60 @@ def test_seed_flag_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); a SystemExit code is
+    returned as ("exit", code)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # main rebuilt its 13 subcommands and 47 arguments on every call;
+    # now the first call builds the parser and later calls reuse it,
+    # with the outputs of a fresh parser
+    import g2d.cli as cli
+
+    path = tmp_path / "t4.txt"
+    write_matrix(path, tn_matrix(4))
+    ps = tmp_path / "ps3.txt"
+    write_set_system(ps, power_set(3))
+    argvs = [
+        ["solve", "--in", str(path), "--tol", "1e-8"],
+        ["solve", "--in", str(path)],  # no --tol: the default again
+        ["oracle", "disc", "--in", str(ps)],
+        ["oracle", "detlb", "--in", str(path), "--kmax", "2"],
+        ["-h"],
+        ["oracle", "-h"],
+        ["solve"],  # --in missing
+        ["nope"],
+        ["oracle", "disc", "--in", str(ps), "--tol", "1e-3"],
+        ["solve", "--in", str(path), "--tol", "-0.5"],
+        ["tn-figure", "--ns", "2,x"],
+    ]
+    built = []
+
+    def counting():
+        built.append(build())
+        return built[-1]
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [_outcome(argv, capsys) for argv in argvs]
+    assert len(built) == 1 and cli._parser is built[0]
+    for argv, outcome in zip(argvs, shared):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert _outcome(argv, capsys) == outcome
+    assert len(built) == 1 + len(argvs)
+    codes = [outcome[0] for outcome in shared]
+    assert codes == [0, 0, 0, 0, ("exit", 0), ("exit", 0), ("exit", 2), ("exit", 2), ("exit", 2), 2, 2]
+    assert "usage: g2d" in shared[4][1] and "disc" in shared[5][1]
+
+
 def test_package_import_is_serial_and_numpy_only():
     # the package runs one serial path on numpy alone
     src = os.path.dirname(os.path.dirname(g2d.__file__))
