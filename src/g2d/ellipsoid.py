@@ -167,12 +167,12 @@ def certify(a: np.ndarray, shape: np.ndarray):
     if lmax <= 0.0:
         return np.inf, None, None
     lam = np.maximum(lam, 0.0) + _REG_RTOL * lmax
-    w = vec.T.dot(a)
+    w = vec.T @ a
     eta = float((w * w / lam[:, None]).sum(axis=0).max())
     if eta <= 0.0:  # a == 0
         m, n = a.shape
         return 0.0, np.zeros((m, 1)), np.zeros((1, n))
     # max diag D = eta * max diag V (L + reg) V^T: rounding keeps order
-    value = float(np.sqrt(eta * float((vec * lam).dot(vec.T).diagonal().max())))
+    value = float(np.sqrt(eta * float(((vec * lam) @ vec.T).diagonal().max())))
     root = np.sqrt(eta * lam / value)
     return value, vec * root, w / root[:, None]

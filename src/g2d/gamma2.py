@@ -115,12 +115,10 @@ DUAL_BETA_MAX = 8.0
 # its value and polar factor from the eigendecomposition of the
 # small-side Gram matrix instead of an SVD. At one BLAS thread a step
 # took 140 -> 47 us on 14x242, 184 -> 94 us on 158x24, 375 -> 275 us on
-# 48x48 and 2.9 -> 0.5 ms on 32x1637. On blocks of 8x16 and smaller,
-# eigh and the extra products cost about what the SVD saves: the 400
-# criterion-8 solves ran 9% slower on the Gram path while each step
-# made two extrapolations, and at the same speed (time ratio 1.02,
-# quartiles 0.93 and 1.07 over 30 alternating rounds) once the step
-# made one, so the threshold stays and keeps their certificates.
+# 48x48 and 2.9 -> 0.5 ms on 32x1637. On blocks of 8x16 and smaller the
+# Gram path is no faster (time ratio 1.02 on the 400 criterion-8 solves
+# over 30 rounds, BENCH_small_block_steps.json), so the threshold stays
+# and keeps their certificates.
 GRAM_MIN_SIDE = 8
 
 # The Gram path is taken only when its smallest eigenvalue exceeds
@@ -320,11 +318,12 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     k = _quarter_exponent(a)
     if k is None:  # the zero matrix
         x, y = (np.full(side, 1.0 / np.sqrt(side)) for side in a.shape)
-        return _DualBound(0.0, x * x, y * y, a, None)
-    cert, (value, p, q) = _ascent(np.ldexp(a, -2 * k) if k else a, tol)
+        return _DualBound(0.0, x * x, y * y, a, None, a, 0)
+    unit = np.ldexp(a, -2 * k) if k else a
+    cert, (value, p, q) = _ascent(unit, tol)
     if k:
         value, cert = math.ldexp(value, 2 * k), _scaled_up(cert, k)
-    return _DualBound(value, p, q, a, cert)
+    return _DualBound(value, p, q, a, cert, unit, k)
 
 
 def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]]:
@@ -448,7 +447,7 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[flo
     rp, rq = np.sqrt(pf), np.sqrt(qf)
     u, s, vt = np.linalg.svd(rp[:, None] * a * rq, full_matrices=False)
     w, root, pts = (vt.T, rq, a.T) if a.shape[0] > a.shape[1] else (u, rp, a)
-    cert = certify(pts, (w * s).dot(w.T) / root[:, None] / root)
+    cert = certify(pts, (w * s) @ w.T / root[:, None] / root)
     return cert, (float(s.sum()), pf, qf)
 
 
@@ -456,11 +455,14 @@ class _DualBound(tuple):
     """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
     unpacks as a plain triple. ``cert`` is the certificate of the
     ``_lift`` of these weights, made at unit scale and scaled to that
-    of ``a``, None only for the zero matrix."""
+    of ``a``, None only for the zero matrix. ``unit`` is a / 4^k, the
+    matrix that the ascent ran on."""
 
-    def __new__(cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None):
+    def __new__(
+        cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None, unit: np.ndarray, k: int
+    ):
         bound = super().__new__(cls, (value, p, q))
-        bound.a, bound.cert = a, cert
+        bound.a, bound.cert, bound.unit, bound.k = a, cert, unit, k
         return bound
 
 
@@ -505,8 +507,8 @@ def gamma2_upper(
     The bound is the ascent's certified small-side lift of its dual
     weights, and only when that misses lower / (1 - tol) and min(m, n) <=
     IP_SIDE_CAP, the interior point on the same side, kept if lower.
-    Like the ascent, the interior point runs on A / 4^k, with
-    max|A| / 4^k in [1, 4), and its certificate is scaled back.
+    The interior point runs on the ascent's A / 4^k, with max|A| / 4^k
+    in [1, 4), and its certificate is scaled back.
 
     ``dual`` is either None, and the dual ascent runs with this ``tol``,
     or ``gamma2_lower_dual``'s own result for this matrix, which spares
@@ -535,8 +537,7 @@ def gamma2_upper(
     # certificate of the first barrier stage that meets the target, or
     # of its last stage
     if best[0] > target and min(m, n) <= IP_SIDE_CAP:
-        k = _quarter_exponent(a)
-        unit = np.ldexp(a, -2 * k) if k else a
+        unit, k = dual.unit, dual.k
         try:
             refined = minimum_height_ellipsoid(unit.T if m > n else unit, target=math.ldexp(target, -2 * k))
             if math.ldexp(refined[0], 2 * k) < best[0]:
@@ -568,8 +569,8 @@ def _support_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         count = 1
         while True:
             # the products count paths; their signs are the 0/1 sets
-            cols = np.sign(rows.dot(nz))
-            rows = np.sign(nz.dot(cols))
+            cols = np.sign(rows @ nz)
+            rows = np.sign(nz @ cols)
             grown = np.count_nonzero(rows)
             if grown == count:
                 break
@@ -732,7 +733,7 @@ def check_certificate(cert: Gamma2Certificate, a) -> dict:
     upper = math.ldexp(cert.upper, -2 * k)
     if k:
         a, b, c = np.ldexp(a, -2 * k), np.ldexp(b, -k), np.ldexp(c, -k)
-    resid = float(np.linalg.norm(b.dot(c) - a))
+    resid = float(np.linalg.norm(b @ c - a))
     fro = float(np.linalg.norm(a))
     if resid > CHECK_RTOL * max(fro, 1e-300):
         raise CertificateError(

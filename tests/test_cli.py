@@ -241,9 +241,8 @@ def _outcome(argv, capsys):
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    # main rebuilt its 13 subcommands and 47 arguments on every call;
-    # now the first call builds the parser and later calls reuse it,
-    # with the outputs of a fresh parser
+    # the first main call builds the parser and later calls reuse it;
+    # each call must give the outputs of a fresh parser
     import g2d.cli as cli
 
     path = tmp_path / "t4.txt"
