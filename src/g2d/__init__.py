@@ -14,14 +14,7 @@ reproduction reports for canonical set systems: initial segments,
 anchored grid boxes, Boolean subcubes, and arithmetic progressions.
 """
 
-from .ellipsoid import (
-    Ellipsoid,
-    block_diag_ellipsoid,
-    ellipsoid_contains,
-    ellipsoid_inf_norm,
-    ellipsoid_sum,
-    membership_value,
-)
+from .ellipsoid import membership_value
 from .gamma2 import (
     CertificateError,
     Gamma2Certificate,
@@ -37,27 +30,19 @@ from .gamma2 import (
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     RefusedError,
-    SpectralDecomposition,
     as_matrix,
-    circulant_interval,
-    circulant_interval_eigenvalues,
     determinant,
     kron,
     nuclear_norm,
-    one_to_two_norm,
-    psd_project,
     read_matrix,
     singular_values,
     sn_tridiagonal,
-    svd,
     tn_matrix,
     tn_singular_values_closed_form,
-    two_to_infinity_norm,
     write_matrix,
 )
 from .oracles import (
     ColoringResult,
-    compose_bounds,
     detlb2_exact,
     detlb_bucketing,
     detlb_exact,
@@ -77,21 +62,15 @@ from .reports import (
     write_csv,
 )
 from .setsystems import (
-    CanonicalInterval,
     MaximalAps,
     SetSystem,
     arithmetic_progressions,
-    canonical_decomposition,
     grid_anchored,
     initial_segments,
-    k_permutations,
     maximal_aps,
     power_set,
-    product,
     read_set_system,
-    restrict,
     subcubes,
-    union,
     write_set_system,
 )
 

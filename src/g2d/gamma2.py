@@ -84,7 +84,7 @@ import numpy as np
 
 # membership_value is no longer called here, but the benchmark's tracer
 # wraps it as an attribute of this module
-from .ellipsoid import Ellipsoid, certify, membership_value  # noqa: F401
+from .ellipsoid import certify, membership_value  # noqa: F401
 from .interior import InteriorPointError, minimum_height_ellipsoid
 from .linalg import (
     KRON_ENTRY_CAP,
@@ -160,8 +160,9 @@ class Gamma2Certificate:
     dual_p/dual_q: the probability weights certifying ``lower``.
     converged: whether upper <= lower / (1 - tol) was reached.
     gap: the property upper - lower.
-    ellipsoid: the property E(upper * B B^T), built on each read; it
-        contains every column of A, and max diag = upper^2.
+    ellipsoid: the property D = upper * B B^T, an m x m array built on
+        each read; E(D) contains every column of A, and max diag D =
+        upper^2.
     """
 
     upper: float
@@ -177,16 +178,16 @@ class Gamma2Certificate:
         return self.upper - self.lower
 
     @property
-    def ellipsoid(self) -> Ellipsoid:
-        """E(upper * B B^T). Raises RefusedError when its m x m matrix
-        would have more than KRON_ENTRY_CAP entries."""
+    def ellipsoid(self) -> np.ndarray:
+        """D = upper * B B^T. Raises RefusedError when it would have
+        more than KRON_ENTRY_CAP entries."""
         b = self.factor_left
         m = b.shape[0]
         if m * m > KRON_ENTRY_CAP:
             raise RefusedError(
                 f"certificate ellipsoid would have {m * m} entries, cap is {KRON_ENTRY_CAP}"
             )
-        return Ellipsoid(self.upper * (b @ b.T))
+        return self.upper * (b @ b.T)
 
 
 def dual_value(a, p, q) -> float:
@@ -586,9 +587,9 @@ def _assemble(a: np.ndarray, parts) -> tuple[tuple, tuple]:
 
     ``parts`` holds (rows, cols, (lower, p, q), (upper, B, C)) for
     blocks A[rows][:, cols] on disjoint rows and columns that hold
-    every nonzero of A. The factors are block-diagonal, so their
-    ellipsoid is that of block_diag_ellipsoid and the upper bound is
-    the max of the blocks'. A block's B is scaled by
+    every nonzero of A. The factors are block-diagonal, so upper * B B^T
+    is the block-diagonal of the blocks' ellipsoids and the upper bound
+    is the max of the blocks'. A block's B is scaled by
     sqrt(its upper / upper) and its C by the inverse, so that upper
     * B B^T keeps each block's ellipsoid, and no row of B or column of
     C has a norm above sqrt(upper). The weights are those of the block with the

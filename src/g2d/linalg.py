@@ -10,25 +10,17 @@ Structured families used throughout:
 * ``tn_matrix(n)``: the lower-triangular all-ones matrix T_n, the
   incidence matrix of initial segments {1..j} of [n].
 * ``sn_tridiagonal(n)``: the tridiagonal inverse of T_n T_n^T.
-* ``circulant_interval(n)``: the incidence matrix of the 2n cyclic
-  intervals of length n+1 on Z_{2n}, which is the circulant block
-  matrix [[T_n, T_n^T], [T_n^T, T_n]].
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 # Hard cap on the entry count of any materialized product matrix.
 KRON_ENTRY_CAP = 40_000_000
-
-# Relative spectral tolerance: singular values below SVD_RTOL * sigma_max
-# are treated as zero by rank-sensitive consumers.
-SVD_RTOL = 1e-10
 
 # Relative asymmetry tolerated before symmetric eigensolves refuse input.
 SYM_RTOL = 1e-9
@@ -88,36 +80,6 @@ def kron(a, b, *, max_entries: int = KRON_ENTRY_CAP) -> np.ndarray:
     return np.kron(a, b)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Thin SVD A = U diag(s) Vt with s sorted nonincreasing."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
-    def rank(self, rtol: float = SVD_RTOL) -> int:
-        s = self.singular_values
-        if s.size == 0 or s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(s > rtol * s[0]))
-
-
-def svd(a) -> SpectralDecomposition:
-    """Thin singular value decomposition.
-
-    Non-convergence of the underlying iteration surfaces as
-    ``numpy.linalg.LinAlgError``; callers treating that as "pathological
-    conditioning" should report the input, not retry.
-    """
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SpectralDecomposition(u=u, singular_values=s, vt=vt)
-
-
 def singular_values(a) -> np.ndarray:
     a = as_matrix(a)
     return np.linalg.svd(a, compute_uv=False)
@@ -134,27 +96,6 @@ def determinant(a) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"determinant needs a square matrix, got {a.shape}")
     return float(np.linalg.det(a))
-
-
-def psd_project(s) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix to symmetric s.
-
-    Symmetrizes first; refuses input whose asymmetry exceeds
-    ``SYM_RTOL * ||s||_F``. Eigenvalues are clipped at zero.
-    """
-    s = as_matrix(s, name="s")
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"psd_project needs a square matrix, got {s.shape}")
-    fro = np.linalg.norm(s)
-    asym = np.linalg.norm(s - s.T)
-    if asym > SYM_RTOL * max(fro, 1e-300):
-        raise ValueError(
-            f"input asymmetry {asym:.3e} exceeds {SYM_RTOL:.1e} * ||s||_F"
-        )
-    sym = 0.5 * (s + s.T)
-    w, v = np.linalg.eigh(sym)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
 
 
 def tn_matrix(n: int) -> np.ndarray:
@@ -188,54 +129,6 @@ def sn_tridiagonal(n: int) -> np.ndarray:
     s = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     s[n - 1, n - 1] = 1.0
     return s
-
-
-def circulant_interval(n: int) -> np.ndarray:
-    """Incidence matrix of all cyclic intervals of length n+1 on Z_{2n}.
-
-    Equals the 2n x 2n circulant whose first column is n+1 ones followed
-    by n-1 zeros, and has the block form [[T_n, T_n^T], [T_n^T, T_n]].
-    Requires n >= 2 (n = 1 degenerates to the all-ones 2x2).
-    """
-    if n < 2:
-        raise ValueError(f"circulant_interval needs n >= 2, got {n}")
-    t = tn_matrix(n)
-    top = np.hstack([t, t.T])
-    bot = np.hstack([t.T, t])
-    return np.vstack([top, bot])
-
-
-def circulant_interval_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues of circulant_interval(n) via the discrete Fourier symbol.
-
-    With s = n+1 and omega = exp(-2 pi i / (2n)), the j-th eigenvalue is
-    the geometric sum 1 + omega^j + ... + omega^{j(s-1)}, i.e.
-    (omega^{js} - 1) / (omega^j - 1) for j != 0 and s for j = 0.
-    Complex arithmetic stays inside this function; use
-    ``np.abs`` of the result for singular values (the matrix is normal).
-    """
-    if n < 2:
-        raise ValueError(f"circulant_interval needs n >= 2, got {n}")
-    two_n = 2 * n
-    s = n + 1
-    idx = np.arange(two_n)
-    omega_pow = np.exp(-2.0j * np.pi * idx / two_n)
-    vals = np.empty(two_n, dtype=complex)
-    vals[0] = s
-    vals[1:] = (omega_pow[1:] ** s - 1.0) / (omega_pow[1:] - 1.0)
-    return vals
-
-
-def two_to_infinity_norm(a) -> float:
-    """Largest row 2-norm (operator norm from l2 to l-infinity)."""
-    a = as_matrix(a)
-    return float(np.sqrt((a * a).sum(axis=1).max()))
-
-
-def one_to_two_norm(a) -> float:
-    """Largest column 2-norm (operator norm from l1 to l2)."""
-    a = as_matrix(a)
-    return float(np.sqrt((a * a).sum(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------

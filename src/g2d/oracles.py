@@ -20,9 +20,7 @@ Small-scale oracles used to validate the certified gamma_2 sandwich:
   over column subsets, one np.linalg.det per stack of Gram matrices;
 * detlb_bucketing: a constructive witness extraction that buckets the
   singular values of the dual-weighted matrix by factors of two and
-  pulls a concrete submatrix via complete-pivot elimination;
-* compose_bounds: gamma_2-level arithmetic for unions, disjoint
-  unions, and products of set systems.
+  pulls a concrete submatrix via complete-pivot elimination.
 
 Everything here refuses oversized inputs up front (explicit caps and
 enumeration budgets, raising RefusedError) rather than truncating
@@ -478,34 +476,3 @@ def detlb_bucketing(a, p, q) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     cols = tuple(sorted(piv_cols))
     d = abs(float(np.linalg.det(a[np.ix_(rows, cols)])))
     return d ** (1.0 / k), rows, cols
-
-
-def compose_bounds(kind: str, parts) -> float:
-    """gamma_2-level bound for composite systems.
-
-    parts is a list of (gamma_2 value, multiplicity) pairs. Union
-    composes by root-sum-of-squares, disjoint pieces by plain sum,
-    product systems multiply.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    vals: list[float] = []
-    counts: list[int] = []
-    for val, count in parts:
-        if not val > 0:
-            raise ValueError(f"part values must be positive, got {val}")
-        if not count >= 1:
-            raise ValueError(f"part counts must be >= 1, got {count}")
-        vals.append(float(val))
-        counts.append(int(count))
-    if kind == "union":
-        return float(np.sqrt(sum(c * v * v for v, c in zip(vals, counts))))
-    if kind == "disjoint_pieces":
-        return float(sum(c * v for v, c in zip(vals, counts)))
-    if kind == "product":
-        out = 1.0
-        for v, c in zip(vals, counts):
-            out *= v**c
-        return float(out)
-    raise ValueError(f"unknown composition kind {kind!r}")

@@ -86,6 +86,15 @@ class BoundsReport:
     failures: dict
 
 
+def _check_size(report: str, name: str, value: int, cap: int) -> None:
+    """ValueError for a size below 1, which is invalid input;
+    RefusedError for one above the report's cap."""
+    if value < 1:
+        raise ValueError(f"{report} needs {name} >= 1, got {value}")
+    if value > cap:
+        raise RefusedError(f"{report} caps at {name} <= {cap}, got {value}")
+
+
 def format_value(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
@@ -156,8 +165,7 @@ def tn_figure(
     """
     ns = list(ns)
     for n in ns:
-        if not 1 <= n <= TN_FIGURE_CAP:
-            raise RefusedError(f"tn_figure caps at n <= {TN_FIGURE_CAP}, got {n}")
+        _check_size("tn_figure", "n", n, TN_FIGURE_CAP)
 
     def solve(n: int) -> ReportRow:
         cert = gamma2(tn_matrix(n), tol=tol)
@@ -209,14 +217,13 @@ def ellipsoid_dump(
     (q_i vs p_{n-i+1}) and reports the max deviation; the certificate
     invariant max diag(D) = upper^2 is asserted.
     """
-    if not 1 <= n <= ELLIPSOID_CAP:
-        raise RefusedError(f"ellipsoid_dump caps at n <= {ELLIPSOID_CAP}, got {n}")
+    _check_size("ellipsoid_dump", "n", n, ELLIPSOID_CAP)
     cert = gamma2(tn_matrix(n), tol=tol)
     os.makedirs(out_dir, exist_ok=True)
     d_path = os.path.join(out_dir, f"T_{n}_D.txt")
     p_path = os.path.join(out_dir, f"T_{n}_p.txt")
     q_path = os.path.join(out_dir, f"T_{n}_q.txt")
-    d = cert.ellipsoid.d
+    d = cert.ellipsoid
     write_matrix(d_path, d, comments=[f"optimal ellipsoid for T_{n}"])
     write_matrix(p_path, cert.dual_p.reshape(-1, 1), comments=["row weights p"])
     write_matrix(q_path, cert.dual_q.reshape(-1, 1), comments=["column weights q"])
@@ -333,8 +340,7 @@ def subcube_report(
     """Subcube system on {0,1}^d: closed-form (2/sqrt(3))^d, the direct
     solved value, their ratio, and log2(gamma_2)/d as an estimate of
     the growth exponent (about 0.2075)."""
-    if not 1 <= d <= SUBCUBE_CAP:
-        raise RefusedError(f"subcube_report caps at d <= {SUBCUBE_CAP}, got {d}")
+    _check_size("subcube_report", "d", d, SUBCUBE_CAP)
     closed = (2.0 / np.sqrt(3.0)) ** d
     cert, _ = _solve_oriented(subcubes(d).incidence, tol=tol)
     exponent = float(np.log2(cert.upper)) / d if cert.upper > 0 else float("nan")
@@ -370,8 +376,7 @@ def ap_report(
     """
     ns = list(ns)
     for n in ns:
-        if not 1 <= n <= AP_CAP:
-            raise RefusedError(f"ap_report caps at n <= {AP_CAP}, got {n}")
+        _check_size("ap_report", "n", n, AP_CAP)
 
     def solve(n: int) -> ReportRow:
         system = arithmetic_progressions(n)

@@ -4,20 +4,18 @@ A set system on ground set {1..n} is stored as an m x n incidence
 matrix (rows = sets, columns = points). Constructors here produce the
 families the bound machinery is exercised on: initial segments of a
 line, their d-fold grid products, subcube systems, arithmetic
-progressions, prefix systems of permutations, and power sets.
+progressions, and power sets.
 
 Conventions:
 
-* duplicate rows are removed wherever a constructor or combinator can
-  produce them (set-level dedup, first occurrence kept);
-* empty rows are kept only where they carry meaning (power_set, and
-  restriction can create one from a nonempty row);
+* no constructor emits a set twice;
+* the empty set appears only in power_set;
 * everything is deterministic: same call, same matrix, same row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +23,6 @@ from .linalg import RefusedError, as_matrix, kron, tn_matrix
 
 # Largest ground-set size any constructor here will touch.
 GROUND_CAP = 4096
-
-
-def _dedup_rows(rows: np.ndarray, labels: tuple[str, ...] | None):
-    seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    for i in range(rows.shape[0]):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    if len(keep) == rows.shape[0]:
-        return rows, labels
-    kept_labels = tuple(labels[i] for i in keep) if labels is not None else None
-    return rows[keep], kept_labels
 
 
 @dataclass(frozen=True)
@@ -216,37 +200,6 @@ def maximal_aps(interval_size: int) -> MaximalAps:
     )
 
 
-def k_permutations(perms) -> SetSystem:
-    """Nonempty prefix sets of the given permutations of {1..n}.
-
-    Each permutation contributes its n initial segments under its own
-    order; the empty prefix is excluded. Duplicate prefix sets across
-    permutations are emitted once.
-    """
-    perms = [list(p) for p in perms]
-    if not perms:
-        raise ValueError("need at least one permutation")
-    n = len(perms[0])
-    if n < 1:
-        raise ValueError("permutations must be nonempty")
-    if n > GROUND_CAP:
-        raise RefusedError(f"ground size {n} exceeds cap {GROUND_CAP}")
-    target = set(range(1, n + 1))
-    for p in perms:
-        if len(p) != n or set(p) != target:
-            raise ValueError(f"not a permutation of 1..{n}: {p}")
-    rows = []
-    labels = []
-    for pi, p in enumerate(perms):
-        row = np.zeros(n)
-        for k, x in enumerate(p):
-            row[x - 1] = 1.0
-            rows.append(row.copy())
-            labels.append(f"perm{pi}[:{k + 1}]")
-    inc, labs = _dedup_rows(np.array(rows), tuple(labels))
-    return SetSystem(inc, labs)
-
-
 POWER_SET_CAP = 20
 
 
@@ -262,106 +215,6 @@ def power_set(n: int) -> SetSystem:
     masks = np.arange(2**n, dtype=np.int64)
     inc = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
     return SetSystem(inc)
-
-
-def union(f: SetSystem, g: SetSystem) -> SetSystem:
-    """Union of two systems on the same ground set (rows concatenated)."""
-    if f.ground_size != g.ground_size:
-        raise ValueError(
-            f"ground sizes differ: {f.ground_size} vs {g.ground_size}"
-        )
-    rows = np.vstack([f.incidence, g.incidence])
-    if f.labels is not None and g.labels is not None:
-        labels: tuple[str, ...] | None = f.labels + g.labels
-    else:
-        labels = None
-    inc, labs = _dedup_rows(rows, labels)
-    return SetSystem(inc, labs)
-
-
-def product(f: SetSystem, g: SetSystem) -> SetSystem:
-    """Product system: sets F x G on ground set [m] x [n] (Kronecker)."""
-    if f.ground_size * g.ground_size > GROUND_CAP:
-        raise RefusedError(
-            f"product ground size {f.ground_size * g.ground_size} "
-            f"exceeds cap {GROUND_CAP}"
-        )
-    inc = kron(f.incidence, g.incidence)
-    inc, _ = _dedup_rows(inc, None)
-    return SetSystem(inc)
-
-
-def restrict(f: SetSystem, points) -> SetSystem:
-    """Trace of the system on a subset of the ground set.
-
-    ``points`` is a nonempty collection of 1-based point indices; the
-    restricted system keeps those columns (in increasing point order)
-    and deduplicates the resulting rows. A row may restrict to the
-    empty set; it is kept (the trace genuinely contains it).
-    """
-    pts = sorted(set(int(p) for p in points))
-    if not pts:
-        raise ValueError("points must be nonempty")
-    if pts[0] < 1 or pts[-1] > f.ground_size:
-        raise ValueError(
-            f"points out of range 1..{f.ground_size}: {pts}"
-        )
-    cols = [p - 1 for p in pts]
-    inc, labs = _dedup_rows(f.incidence[:, cols], f.labels)
-    return SetSystem(inc, labs)
-
-
-@dataclass(frozen=True)
-class CanonicalInterval:
-    """Dyadic interval [offset * 2^level, (offset+1) * 2^level), 0-based.
-
-    ``points(n)`` gives the covered positions clipped to the first n
-    points, as 0-based indices.
-    """
-
-    offset: int
-    level: int
-
-    def __post_init__(self):
-        if self.level < 0 or self.offset < 0:
-            raise ValueError(
-                f"bad canonical interval: offset={self.offset} level={self.level}"
-            )
-
-    @property
-    def start(self) -> int:
-        return self.offset * (1 << self.level)
-
-    @property
-    def stop(self) -> int:
-        return (self.offset + 1) * (1 << self.level)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.level
-
-    def points(self, n: int) -> range:
-        return range(self.start, min(self.stop, n))
-
-
-def canonical_decomposition(j: int, n: int) -> list[CanonicalInterval]:
-    """Write the first j points as disjoint dyadic intervals.
-
-    Greedy from the largest power of two in the binary expansion of j:
-    j = 7, n = 8 gives [0,4), [4,6), [6,7). At most one interval per
-    size, hence at most floor(log2 n) + 1 pieces.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if j < 1 or j > n:
-        raise ValueError(f"j must be in 1..{n}, got {j}")
-    out: list[CanonicalInterval] = []
-    pos = 0
-    for level in range(j.bit_length() - 1, -1, -1):
-        if j & (1 << level):
-            out.append(CanonicalInterval(offset=pos >> level, level=level))
-            pos += 1 << level
-    return out
 
 
 # ---------------------------------------------------------------------------

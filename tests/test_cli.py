@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_exit_code_cap_refusal_in_report(capsys):
     assert main(["tn-figure", "--ns", "300"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tn-figure", "--ns", "0"],
+        ["ap", "--ns", "0"],
+        ["ellipsoid", "--n", "0", "--out", "OUT"],
+        ["subcubes", "--d", "0"],
+    ],
+    ids=["tn-figure", "ap", "ellipsoid", "subcubes"],
+)
+def test_exit_code_size_below_one_is_not_a_refusal(argv, tmp_path, capsys):
+    # a size below 1 is invalid input (exit 2), not over a cap (exit 3)
+    argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
+    assert main(argv) == 2
+    assert "refused" not in capsys.readouterr().err
+
+
 def test_exit_code_parse_error_is_not_a_refusal(capsys):
     # exit 3 is chosen by the exception type, not by words in the message
     assert main(["tn-figure", "--ns", "2,cap"]) == 2
@@ -294,3 +312,64 @@ def test_package_import_is_serial_and_numpy_only():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names():
+    # the package's public surface; adding or dropping an export shows here
+    names = sorted(
+        name
+        for name in dir(g2d)
+        if not name.startswith("_") and not isinstance(getattr(g2d, name), types.ModuleType)
+    )
+    assert names == [
+        "BoundsReport",
+        "CertificateError",
+        "ColoringResult",
+        "Gamma2Certificate",
+        "InteriorPointError",
+        "MaximalAps",
+        "RefusedError",
+        "ReportRow",
+        "SetSystem",
+        "ap_report",
+        "arithmetic_progressions",
+        "as_matrix",
+        "audit",
+        "check_certificate",
+        "determinant",
+        "detlb2_exact",
+        "detlb_bucketing",
+        "detlb_exact",
+        "disc_exact",
+        "disc_p_exact",
+        "dual_value",
+        "ellipsoid_dump",
+        "gamma2",
+        "gamma2_lower_dual",
+        "gamma2_upper",
+        "grid_anchored",
+        "herdisc_exact",
+        "initial_segments",
+        "kron",
+        "maximal_aps",
+        "membership_value",
+        "minimum_height_ellipsoid",
+        "nuclear_norm",
+        "power_set",
+        "read_certificate",
+        "read_matrix",
+        "read_set_system",
+        "singular_values",
+        "sn_tridiagonal",
+        "subcube_report",
+        "subcubes",
+        "tn_figure",
+        "tn_matrix",
+        "tn_singular_values_closed_form",
+        "tusnady_report",
+        "uniform_nuclear_lower",
+        "write_certificate",
+        "write_csv",
+        "write_matrix",
+        "write_set_system",
+    ]

@@ -9,15 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from g2d.ellipsoid import (
-    Ellipsoid,
-    block_diag_ellipsoid,
-    certify,
-    ellipsoid_contains,
-    ellipsoid_inf_norm,
-    ellipsoid_sum,
-    membership_value,
-)
+from g2d.ellipsoid import certify, membership_value
 from g2d.gamma2 import (
     DEFAULT_TOL,
     DUAL_MAX_STEPS,
@@ -71,21 +63,21 @@ def test_gamma2_identity():
 
 def test_gamma2_upper_c1():
     value, b, c, converged = gamma2_upper(C1)
-    ell = Ellipsoid(value * (b @ b.T))
+    d = value * (b @ b.T)
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
     assert converged
     # certificate geometry is carried by the ellipsoid
     for j in range(C1.shape[1]):
-        assert membership_value(ell, C1[:, j]) <= 1.0 + 1e-6
+        assert membership_value(d, C1[:, j]) <= 1.0 + 1e-6
 
 
 def test_gamma2_c1_transposed_side_ellipse():
     # on the 2 x 3 transposed problem the optimal dual ellipse is the
     # one whose boundary passes through (1,1), (1,0), (0,1)
     value, b, _, _ = gamma2_upper(C1.T)
-    ell = Ellipsoid(value * (b @ b.T))
+    d = value * (b @ b.T)
     assert abs(value - 2.0 / np.sqrt(3.0)) <= 1e-4
-    assert np.max(np.abs(ell.d - D_STAR)) <= 2e-3
+    assert np.max(np.abs(d - D_STAR)) <= 2e-3
 
 
 def test_gamma2_zero_matrix():
@@ -473,26 +465,16 @@ def test_gamma2_zero_row_and_column():
     assert np.all(cert.factor_left[0] == 0.0) and np.all(cert.factor_right[:, 0] == 0.0)
 
 
-def test_gamma2_builds_one_ellipsoid(monkeypatch):
-    # a solve, split or not, builds no ellipsoid: the certificate is its
-    # factors, and reading its ellipsoid builds one, upper * B B^T
-    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
-    built = []
-
-    class Counting(Ellipsoid):
-        def __post_init__(self):
-            built.append(self)
-            super().__post_init__()
-
-    monkeypatch.setattr(module, "Ellipsoid", Counting)
+def test_gamma2_builds_one_ellipsoid():
+    # the certificate is its factors, split or not; reading its
+    # ellipsoid gives the plain array upper * B B^T, bit for bit
+    # (test_tall_block_makes_no_m_by_m_array pins that a solve builds none)
     for mat in (THREE_BLOCKS, tn_matrix(5)):
-        built.clear()
         cert = gamma2(mat)
-        assert built == []
-        ell = cert.ellipsoid
-        assert len(built) == 1 and built[0] is ell
         b = cert.factor_left
-        assert np.array_equal(ell.d, cert.upper * (b @ b.T))
+        d = cert.ellipsoid
+        assert type(d) is np.ndarray
+        assert np.array_equal(d, cert.upper * (b @ b.T))
 
 
 @pytest.mark.parametrize(
@@ -536,10 +518,10 @@ def test_split_certificate_ellipsoid_is_upper_times_b_bt():
     uppers = [blk.upper for blk in blocks]
     assert cert.upper == max(uppers) and min(uppers) < 0.9 * max(uppers)
     # upper * B B^T is the block-diagonal of the blocks' own ellipsoids
-    want = blocks[0].ellipsoid
-    for blk in blocks[1:]:
-        want = block_diag_ellipsoid(want, blk.ellipsoid)
-    assert np.linalg.norm(cert.ellipsoid.d - want.d) <= 1e-13 * np.linalg.norm(want.d)
+    want = np.zeros((9, 9))
+    for rows, blk in zip((slice(0, 4), slice(4, 7), slice(7, 9)), blocks):
+        want[rows, rows] = blk.ellipsoid
+    assert np.linalg.norm(cert.ellipsoid - want) <= 1e-13 * np.linalg.norm(want)
     b, c = cert.factor_left, cert.factor_right
     assert (b * b).sum(axis=1).max() <= cert.upper * (1.0 + 1e-12)
     assert (c * c).sum(axis=0).max() <= cert.upper * (1.0 + 1e-12)
@@ -649,9 +631,9 @@ def test_certificate_checker_accepts_solver_output():
 )
 def test_membership_of_all_columns_at_once(a):
     cert = gamma2(a)
-    ell = cert.ellipsoid
-    values = membership_value(ell, a)
-    each = np.array([membership_value(ell, a[:, j]) for j in range(a.shape[1])])
+    d = cert.ellipsoid
+    values = membership_value(d, a)
+    each = np.array([membership_value(d, a[:, j]) for j in range(a.shape[1])])
     assert values.shape == each.shape
     assert np.max(np.abs(values - each) / each) <= 1e-14
 
@@ -991,7 +973,7 @@ def test_certificate_io_round_trip(tmp_path):
     # ignored, and the factors pass the check on their own
     text = path.read_text()
     assert "# D" not in text
-    old = text.replace("# B\n", "# D\n" + format_matrix(cert.ellipsoid.d) + "# B\n")
+    old = text.replace("# B\n", "# D\n" + format_matrix(cert.ellipsoid) + "# B\n")
     path.write_text(old)
     back = read_certificate(path)
     assert np.array_equal(back.factor_left, cert.factor_left)
@@ -1031,11 +1013,11 @@ def test_lift_only_path_matches_default():
     # weights from the ascent run to its cap at tol=0: given no
     # weights, gamma2_upper stops its ascent at tol=1.0 too
     value, b, c, _ = gamma2_upper(t3, tol=1.0, dual=gamma2_lower_dual(t3))
-    ell = Ellipsoid(value * (b @ b.T))
+    d = value * (b @ b.T)
     assert value >= ref - 1e-9
     assert value <= ref * (1.0 + 2e-3)
     for j in range(3):
-        assert membership_value(ell, t3[:, j]) <= 1.0 + 1e-6
+        assert membership_value(d, t3[:, j]) <= 1.0 + 1e-6
 
 
 def test_interior_point_cross_check():
@@ -1047,111 +1029,40 @@ def test_interior_point_cross_check():
         assert abs(value - ref) <= 1e-5 * ref
         # D is the certified ellipsoid: every column fits, max diag = value^2
         assert abs(np.max(np.diag(d)) - value**2) <= 1e-6 * value**2
-        ell = Ellipsoid(d * (1.0 + 1e-9))
         for j in range(n):
-            assert membership_value(ell, t[:, j]) <= 1.0 + 1e-6
+            assert membership_value(d * (1.0 + 1e-9), t[:, j]) <= 1.0 + 1e-6
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid utilities
+# the reference membership test on an explicit D
 # ---------------------------------------------------------------------------
-
-
-def test_ellipsoid_inf_norm_identity():
-    assert abs(ellipsoid_inf_norm(Ellipsoid(np.eye(3))) - 1.0) < 1e-12
-
-
-def test_ellipsoid_inf_norm_c1_dual():
-    # the inf-norm only reads the diagonal, so the off-diagonal entry
-    # does not matter here
-    d = np.array([[4.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 4.0 / 3.0]])
-    assert abs(ellipsoid_inf_norm(Ellipsoid(d)) - 2.0 / np.sqrt(3.0)) < 1e-12
-    assert abs(ellipsoid_inf_norm(Ellipsoid(D_STAR)) - 2.0 / np.sqrt(3.0)) < 1e-12
-
-
-def test_ellipsoid_inf_norm_boundary_sampling():
-    rng = np.random.default_rng(39)
-    for dim in (2, 3):
-        b = rng.standard_normal((dim, dim))
-        d = b @ b.T + 0.1 * np.eye(dim)
-        ell = Ellipsoid(d)
-        lam, vec = np.linalg.eigh(d)
-        root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
-        u = rng.standard_normal((10_000, dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        sampled = np.max(np.abs(u @ root))
-        want = ellipsoid_inf_norm(ell)
-        assert sampled <= want + 1e-12
-        assert sampled >= want - 1e-3 * want
 
 
 def test_ellipsoid_contains_zero_and_columns():
-    ell = Ellipsoid(D_STAR)
-    assert ellipsoid_contains(ell, np.zeros(2))
+    assert membership_value(D_STAR, np.zeros(2)) == 0.0
     for v in ([1.0, 1.0], [1.0, 0.0], [0.0, 1.0]):
-        assert ellipsoid_contains(ell, np.array(v), tol=1e-9)
         # all three sit exactly on the boundary x1^2+x2^2-x1x2 = 1
-        assert abs(membership_value(ell, np.array(v)) - 1.0) < 1e-10
+        assert abs(membership_value(D_STAR, np.array(v)) - 1.0) < 1e-10
 
 
 def test_ellipsoid_contains_rejects_out_of_range():
-    flat = Ellipsoid(np.diag([1.0, 0.0]))
-    assert ellipsoid_contains(flat, np.array([1.0, 0.0]))
-    assert not ellipsoid_contains(flat, np.array([0.0, 1.0]))
-    assert not ellipsoid_contains(flat, np.array([0.0, 1e-3]))
+    # directions outside the range of D are charged at the rank cutoff
+    flat = np.diag([1.0, 0.0])
+    assert membership_value(flat, np.array([1.0, 0.0])) <= 1.0 + 1e-9
+    assert membership_value(flat, np.array([0.0, 1.0])) > 1.0 + 1e-9
+    assert membership_value(flat, np.array([0.0, 1e-3])) > 1.0 + 1e-9
 
 
 def test_ellipsoid_contains_refuses_a_matrix_that_is_not_psd():
-    # built without an eigendecomposition, the ellipsoid is validated
-    # on the first use of its spectrum
-    e = Ellipsoid(np.diag([1.0, -1.0]))
     for v in (np.zeros(2), np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="not PSD"):
-            ellipsoid_contains(e, v)
+            membership_value(np.diag([1.0, -1.0]), v)
     with pytest.raises(ValueError, match="negative definite"):
-        membership_value(Ellipsoid(-np.eye(2)), np.zeros(2))
-
-
-def test_ellipsoid_sum_zero_identity():
-    d = D_STAR
-    zero = Ellipsoid(np.zeros((2, 2)))
-    got = ellipsoid_sum(Ellipsoid(d), zero)
-    assert np.max(np.abs(got.d - d)) < 1e-12
-
-
-def test_ellipsoid_sum_two_unit_balls():
-    s = ellipsoid_sum(Ellipsoid(np.eye(3)), Ellipsoid(np.eye(3)))
-    assert abs(ellipsoid_inf_norm(s) - np.sqrt(2.0)) < 1e-12
-
-
-def test_ellipsoid_sum_contains_both_column_sets():
-    rng = np.random.default_rng(40)
-    a = random_binary(rng, 4, 3)
-    b = random_binary(rng, 4, 5)
-    a[0, 0] = 1.0
-    b[0, 0] = 1.0
-    va, ba, _, _ = gamma2_upper(a)
-    vb, bb, _, _ = gamma2_upper(b)
-    ea, eb = Ellipsoid(va * (ba @ ba.T)), Ellipsoid(vb * (bb @ bb.T))
-    s = ellipsoid_sum(ea, eb)
-    for j in range(a.shape[1]):
-        assert membership_value(s, a[:, j]) <= 1.0 + 1e-6
-    for j in range(b.shape[1]):
-        assert membership_value(s, b[:, j]) <= 1.0 + 1e-6
-
-
-def test_block_diag_ellipsoid_unit_balls():
-    got = block_diag_ellipsoid(Ellipsoid(np.eye(2)), Ellipsoid(np.eye(3)))
-    assert got.dim == 5
-    assert abs(ellipsoid_inf_norm(got) - 1.0) < 1e-12
-
-
-def test_block_diag_ellipsoid_degenerate_part():
-    d = D_STAR
-    got = block_diag_ellipsoid(Ellipsoid(d), Ellipsoid(np.zeros((1, 1))))
-    assert got.dim == 3
-    assert np.max(np.abs(got.d[:2, :2] - d)) < 1e-12
-    assert abs(ellipsoid_inf_norm(got) - ellipsoid_inf_norm(Ellipsoid(d))) < 1e-12
+        membership_value(-np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="not symmetric"):
+        membership_value(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="square"):
+        membership_value(np.ones((2, 3)), np.zeros(2))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -1170,8 +1081,7 @@ def test_certify_gives_one_consistent_certificate(d):
         shape *= np.trace(dmat) / np.trace(shape)
         assert np.linalg.norm(shape - dmat) <= 1e-12 * np.linalg.norm(dmat)
         assert abs(np.max(np.diag(dmat)) - value**2) <= 1e-12 * value**2
-        ell = Ellipsoid(dmat)
-        assert max(membership_value(ell, a[:, j]) for j in range(a.shape[1])) <= 1.0 + 1e-9
+        assert max(membership_value(dmat, a[:, j]) for j in range(a.shape[1])) <= 1.0 + 1e-9
         bound = np.sqrt(value) * (1.0 + 1e-12)
         assert np.sqrt((b * b).sum(axis=1)).max() <= bound
         assert np.sqrt((c * c).sum(axis=0)).max() <= bound

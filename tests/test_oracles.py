@@ -12,7 +12,6 @@ from g2d.linalg import RefusedError, tn_matrix
 from g2d.oracles import (
     ColoringResult,
     _low_vars,
-    compose_bounds,
     detlb2_exact,
     detlb_bucketing,
     detlb_exact,
@@ -470,17 +469,6 @@ def test_detlb_vs_herdisc_and_gamma2():
         lb = detlb_exact(a, 4)
         assert lb <= 2.0 * herdisc_exact(a) + 1e-9
         assert lb <= gamma2(a).upper + 1e-4
-
-
-def test_compose_bounds():
-    v = 1.7
-    assert abs(compose_bounds("union", [(v, 4)]) - v * 2.0) < 1e-12
-    assert abs(compose_bounds("product", [(2.0, 1), (3.0, 1)]) - 6.0) < 1e-12
-    assert abs(compose_bounds("disjoint_pieces", [(1.0, 3)]) - 3.0) < 1e-12
-    with pytest.raises(ValueError):
-        compose_bounds("union", [])
-    with pytest.raises(ValueError):
-        compose_bounds("nonsense", [(1.0, 1)])
 
 
 def test_coloring_result_validation():

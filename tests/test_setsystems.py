@@ -1,6 +1,4 @@
-"""Set-system constructors and algebra: incidence matrices, products, traces."""
-
-import itertools
+"""Set-system constructors: incidence matrices, their gamma_2 and I/O."""
 
 import numpy as np
 import pytest
@@ -9,20 +7,14 @@ from g2d.gamma2 import gamma2
 from g2d.linalg import RefusedError, kron, tn_matrix
 from g2d.oracles import disc_exact, herdisc_exact
 from g2d.setsystems import (
-    CanonicalInterval,
     SetSystem,
     arithmetic_progressions,
-    canonical_decomposition,
     grid_anchored,
     initial_segments,
-    k_permutations,
     maximal_aps,
     power_set,
-    product,
     read_set_system,
-    restrict,
     subcubes,
-    union,
     write_set_system,
 )
 
@@ -140,36 +132,6 @@ def test_arithmetic_progressions_no_duplicate_rows():
     assert len({r.tobytes() for r in inc}) == inc.shape[0]
 
 
-def test_k_permutations_identity_is_initial_segments():
-    n = 5
-    got = k_permutations([list(range(1, n + 1))])
-    assert np.array_equal(got.incidence, initial_segments(n).incidence)
-
-
-def test_k_permutations_two_perms_n2():
-    got = k_permutations([[1, 2], [2, 1]])
-    assert row_set_family(got) == {
-        frozenset({1}),
-        frozenset({2}),
-        frozenset({1, 2}),
-    }
-
-
-def test_k_permutations_herdisc_one():
-    rng = np.random.default_rng(21)
-    for n in (3, 5, 8):
-        perm = list(rng.permutation(n) + 1)
-        sys_pi = k_permutations([perm])
-        assert herdisc_exact(sys_pi.incidence) == 1.0
-
-
-def test_k_permutations_rejects_malformed():
-    with pytest.raises(ValueError):
-        k_permutations([[1, 1]])
-    with pytest.raises(ValueError):
-        k_permutations([[1, 2], [1, 3]])
-
-
 def test_power_set_n1():
     assert row_set_family(power_set(1)) == {frozenset(), frozenset({1})}
 
@@ -184,143 +146,34 @@ def test_power_set_gamma2_sqrt_bound():
     assert cert.upper <= np.sqrt(n) + 1e-3
 
 
-def test_union_idempotent_and_small():
-    f = arithmetic_progressions(4)
-    again = union(f, f)
-    assert np.array_equal(again.incidence, f.incidence)
-    a = SetSystem(np.array([[1.0, 0.0]]))
-    b = SetSystem(np.array([[0.0, 1.0]]))
-    assert union(a, b).rows == 2
-    assert union(a, a).rows == 1
-    with pytest.raises(ValueError):
-        union(a, SetSystem(np.array([[1.0, 0.0, 0.0]])))
-
-
 def test_union_gamma2_root_sum_square():
     rng = np.random.default_rng(22)
     for _ in range(5):
-        f = SetSystem((rng.random((3, 4)) < 0.5).astype(float))
-        g = SetSystem((rng.random((4, 4)) < 0.5).astype(float))
-        u = union(f, g)
-        gu = gamma2(u.incidence).upper
-        gf = gamma2(f.incidence).upper
-        gg = gamma2(g.incidence).upper
+        f = (rng.random((3, 4)) < 0.5).astype(float)
+        g = (rng.random((4, 4)) < 0.5).astype(float)
+        gu = gamma2(np.vstack([f, g])).upper
+        gf = gamma2(f).upper
+        gg = gamma2(g).upper
         assert gu**2 <= gf**2 + gg**2 + 1e-3
-
-
-def test_product_with_point_is_identity():
-    f = arithmetic_progressions(3)
-    one_point = SetSystem(np.array([[1.0]]))
-    assert np.array_equal(product(f, one_point).incidence, f.incidence)
-    assert np.array_equal(product(one_point, f).incidence, f.incidence)
-
-
-def test_product_of_initial_segments_is_grid():
-    n = 3
-    got = product(initial_segments(n), initial_segments(n))
-    assert np.array_equal(got.incidence, grid_anchored(2, n).incidence)
 
 
 def test_product_gamma2_multiplicative():
     rng = np.random.default_rng(23)
     for _ in range(3):
-        f = SetSystem((rng.random((3, 3)) < 0.6).astype(float))
-        g = SetSystem((rng.random((2, 3)) < 0.6).astype(float))
-        p = product(f, g)
-        gp = gamma2(p.incidence).upper
-        gf = gamma2(f.incidence).upper
-        gg = gamma2(g.incidence).upper
+        f = (rng.random((3, 3)) < 0.6).astype(float)
+        g = (rng.random((2, 3)) < 0.6).astype(float)
+        gp = gamma2(np.kron(f, g)).upper
+        gf = gamma2(f).upper
+        gg = gamma2(g).upper
         assert abs(gp - gf * gg) <= 5e-3 * max(gf * gg, 1.0)
-
-
-def test_restrict_full_ground_set():
-    f = arithmetic_progressions(4)
-    assert np.array_equal(restrict(f, range(1, 5)).incidence, f.incidence)
-
-
-def test_restrict_initial_segments_example():
-    got = restrict(initial_segments(4), [2, 4])
-    assert np.array_equal(
-        got.incidence, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
-    )
 
 
 def test_restrict_gamma2_monotone():
     rng = np.random.default_rng(24)
     for _ in range(5):
-        f = SetSystem((rng.random((4, 5)) < 0.5).astype(float))
-        pts = sorted(rng.choice(np.arange(1, 6), size=3, replace=False))
-        sub = restrict(f, pts)
-        assert gamma2(sub.incidence).upper <= gamma2(f.incidence).upper + 1e-3
-
-
-def test_restrict_rejects_bad_points():
-    f = initial_segments(3)
-    with pytest.raises(ValueError):
-        restrict(f, [])
-    with pytest.raises(ValueError):
-        restrict(f, [0, 1])
-    with pytest.raises(ValueError):
-        restrict(f, [4])
-
-
-def test_canonical_decomposition_powers_of_two():
-    for k in range(0, 7):
-        n = 2**k
-        parts = canonical_decomposition(n, n)
-        assert len(parts) == 1
-        assert parts[0].size == n
-        assert parts[0].start == 0
-
-
-def test_canonical_decomposition_seven_of_eight():
-    parts = canonical_decomposition(7, 8)
-    assert [(p.start, p.stop) for p in parts] == [(0, 4), (4, 6), (6, 7)]
-    assert sorted(p.size for p in parts) == [1, 2, 4]
-
-
-def test_canonical_decomposition_exhaustive():
-    n = 64
-    for j in range(1, n + 1):
-        parts = canonical_decomposition(j, n)
-        covered = []
-        for p in parts:
-            covered.extend(p.points(n))
-        assert covered == list(range(j))
-        sizes = [p.size for p in parts]
-        assert len(sizes) == len(set(sizes))
-        assert len(parts) <= int(np.log2(n)) + 1
-
-
-def test_canonical_interval_validation():
-    with pytest.raises(ValueError):
-        CanonicalInterval(offset=-1, level=0)
-    with pytest.raises(ValueError):
-        canonical_decomposition(0, 4)
-    with pytest.raises(ValueError):
-        canonical_decomposition(5, 4)
-
-
-def test_grid_sets_decompose_into_canonical_boxes():
-    # every anchored box [1..i] x [1..j] splits into at most
-    # (log2(n)+1)^2 products of canonical intervals
-    n = 4
-    cap = (int(np.log2(n)) + 1) ** 2
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            boxes = [
-                (p, q)
-                for p in canonical_decomposition(i, n)
-                for q in canonical_decomposition(j, n)
-            ]
-            assert len(boxes) <= cap
-            pts = set()
-            for p, q in boxes:
-                for x in p.points(n):
-                    for y in q.points(n):
-                        assert (x, y) not in pts
-                        pts.add((x, y))
-            assert pts == set(itertools.product(range(i), range(j)))
+        f = (rng.random((4, 5)) < 0.5).astype(float)
+        cols = sorted(rng.choice(5, size=3, replace=False))
+        assert gamma2(f[:, cols]).upper <= gamma2(f).upper + 1e-3
 
 
 def test_maximal_aps_size2():
@@ -359,7 +212,6 @@ def test_constructors_have_no_duplicate_rows():
         grid_anchored(2, 3),
         subcubes(2),
         arithmetic_progressions(9),
-        k_permutations([[2, 1, 3], [3, 1, 2]]),
         maximal_aps(10).system,
     ]
     for f in systems:
@@ -393,11 +245,9 @@ def test_set_system_io_without_labels(tmp_path):
         lambda: maximal_aps(129),
         lambda: subcubes(13),
         lambda: grid_anchored(2, 65),
-        lambda: product(initial_segments(65), initial_segments(64)),
         lambda: SetSystem(np.zeros((1, 4097))),
-        lambda: k_permutations([list(range(1, 4098))]),
     ],
-    ids=["power_set", "aps", "maximal_aps", "subcubes", "grid", "product", "ground", "perms"],
+    ids=["power_set", "aps", "maximal_aps", "subcubes", "grid", "ground"],
 )
 def test_caps_raise_refused_error(build):
     with pytest.raises(RefusedError):
