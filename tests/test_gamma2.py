@@ -1065,6 +1065,64 @@ def test_ellipsoid_contains_refuses_a_matrix_that_is_not_psd():
         membership_value(np.ones((2, 3)), np.zeros(2))
 
 
+# ---------------------------------------------------------------------------
+# the height of E(D), max_i sqrt(D_ii), is the certificate's value
+# ---------------------------------------------------------------------------
+
+
+def test_ellipsoid_inf_norm_identity():
+    cert = gamma2(np.eye(3))
+    height = np.sqrt(np.max(np.diag(cert.ellipsoid)))
+    assert abs(height - 1.0) < 1e-12
+    assert abs(height - cert.upper) <= 1e-12 * cert.upper
+
+
+def test_ellipsoid_inf_norm_c1_dual():
+    # the height only reads the diagonal, so the off-diagonal entry
+    # does not matter here
+    d = np.array([[4.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 4.0 / 3.0]])
+    for shape in (d, D_STAR):
+        assert abs(np.sqrt(np.max(np.diag(shape))) - 2.0 / np.sqrt(3.0)) < 1e-12
+    # the certified ellipse of C1^T has height value = gamma_2(C1)
+    value, b, _, _ = gamma2_upper(C1.T)
+    height = np.sqrt(np.max(np.diag(value * (b @ b.T))))
+    assert abs(height - value) <= 1e-12 * value
+    assert abs(height - 2.0 / np.sqrt(3.0)) <= 1e-4
+
+
+def test_ellipsoid_inf_norm_boundary_sampling():
+    # points D^1/2 u with |u| = 1 sweep the boundary of E(D): membership
+    # reads 1 on each, and their largest coordinate is max_i sqrt(D_ii)
+    rng = np.random.default_rng(39)
+    for dim in (2, 3):
+        b = rng.standard_normal((dim, dim))
+        d = b @ b.T + 0.1 * np.eye(dim)
+        lam, vec = np.linalg.eigh(d)
+        root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+        u = rng.standard_normal((10_000, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        z = u @ root
+        assert np.max(np.abs(membership_value(d, z.T) - 1.0)) < 1e-9
+        sampled = np.max(np.abs(z))
+        want = np.sqrt(np.max(np.diag(d)))
+        assert sampled <= want + 1e-12
+        assert sampled >= want - 1e-3 * want
+
+
+def test_block_diag_ellipsoid_unit_balls():
+    # J_2 and I_3 on disjoint rows and columns, each of gamma_2 = 1: the
+    # solve's ellipsoid is block-diagonal, of dimension 5 and height 1
+    a = np.zeros((5, 5))
+    a[:2, :2] = 1.0
+    a[2:, 2:] = np.eye(3)
+    cert = gamma2(a)
+    got = cert.ellipsoid
+    assert got.shape == (5, 5)
+    assert np.all(got[:2, 2:] == 0.0) and np.all(got[2:, :2] == 0.0)
+    assert abs(np.sqrt(np.max(np.diag(got))) - 1.0) < 1e-9
+    assert np.max(membership_value(got, a)) <= 1.0 + 1e-9
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_certify_gives_one_consistent_certificate(d):
     # random PSD shapes of every rank 1..d against random A: B C = A,

@@ -58,6 +58,20 @@ def test_grid_anchored_is_kron_power():
     assert np.array_equal(grid_anchored(3, 3).incidence, kron(kron(t3, t3), t3))
 
 
+def test_product_of_initial_segments_is_grid():
+    # the product system F x G has the Kronecker product as incidence
+    n = 3
+    seg = initial_segments(n).incidence
+    assert np.array_equal(kron(seg, seg), grid_anchored(2, n).incidence)
+
+
+def test_product_with_point_is_identity():
+    f = arithmetic_progressions(3)
+    one_point = np.array([[1.0]])
+    assert np.array_equal(kron(f.incidence, one_point), f.incidence)
+    assert np.array_equal(kron(one_point, f.incidence), f.incidence)
+
+
 def test_grid_anchored_gamma2_is_square_of_tn():
     cert_grid = gamma2(grid_anchored(2, 4).incidence)
     cert_base = gamma2(tn_matrix(4))
