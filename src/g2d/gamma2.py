@@ -45,24 +45,34 @@ The solve path:
    tried is one evaluation. On a block whose small side exceeds
    GRAM_MIN_SIDE it is one eigendecomposition of the small-side Gram
    matrix, or an SVD once that matrix has been ill conditioned; on
-   smaller blocks it is one SVD. At each new best point, the step's
-   own matrix-vector products give the value that the small-side lift
-   of step 3 would certify there; only when that meets ``tol`` does the
-   ascent make the lift, one more SVD and one eigendecomposition on top
-   of DUAL_MAX_STEPS, and after a lift that misses, the next waits for
-   a restart. The ascent has one exit: a lift's certified upper bound
-   within ``tol`` of its value, or DUAL_MAX_STEPS evaluations, the
-   closing lift of its best point among them. It hands on that lift,
-   the only one a solve makes: its SVD value at its floored weights is
-   the lower bound, and its certificate is step 3's upper bound; after
-   a stop on the gap, step 4 does not run;
+   smaller blocks it is one SVD. Each point keeps its small-side
+   factorization. At each new best point, the step's own
+   matrix-vector products give the value that the small-side lift of
+   step 3 would certify there; only when that meets ``tol`` does the
+   ascent make the lift, and after a lift that misses, the next waits
+   for a restart. The ascent has one exit: a lift's certified upper
+   bound within ``tol`` of its value, or DUAL_MAX_STEPS evaluations,
+   the closing lift of its best point among them. It hands on that
+   lift, the only one a solve makes: its value at its weights is the
+   lower bound, and its certificate is step 3's upper bound; after a
+   stop on the gap, step 4 does not run;
 3. the closed-form primal lift of the dual weights on the smaller side:
    the first-order conditions pair an optimal (p, q) with the optimal
    ellipsoid P^{-1/2} U Sigma U^T P^{-1/2} for the columns of A, and
-   with its column-side analogue for the rows. ``ellipsoid.certify``
-   turns that shape into its value and balanced factors A = B C, from
-   one eigendecomposition; on a tall A the shape encloses the rows, so
-   its factors are transposed into those of A;
+   with its column-side analogue for the rows, and
+   P^1/2 A Q^1/2 = U Sigma V^T factors A as
+   (P^-1/2 U Sigma^1/2)(Sigma^1/2 V^T Q^-1/2). When the point's
+   small-side singular values have sigma_min > sqrt(GRAM_RCOND)
+   sigma_max, which always holds on the Gram path, the lift builds
+   these factors from the factorization that evaluated the point, with
+   no new factorization and no weight floor (``_factored_lift``).
+   Otherwise a small-side weight is 0 or the block has lower rank, and
+   the lift floors the weights at 1e-12, makes one SVD there and hands
+   the shape to ``ellipsoid.certify``, which turns it into its value
+   and balanced factors A = B C from one eigendecomposition
+   (``_lift``): two factorizations on top of DUAL_MAX_STEPS. On a tall
+   A either lift encloses the rows, so its factors are transposed into
+   those of A;
 4. an interior-point solve of the enclosing-ellipsoid program on the
    same side, only while the certified gap exceeds the requested
    tolerance and that side is small enough. It certifies the ellipsoid
@@ -214,19 +224,20 @@ def uniform_nuclear_lower(a) -> float:
     return nuclear_norm(a) / float(np.sqrt(m * n))
 
 
-def _gram_polar(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """||mat||_* and the polar factor U V^T of mat = U Sigma V^T from
-    the eigendecomposition W Lambda W^T of the small-side Gram matrix:
+def _gram_polar(mat: np.ndarray) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+    """||mat||_*, the polar factor U V^T of mat = U Sigma V^T and the
+    small-side factorization (W, sqrt(Lambda)), from the
+    eigendecomposition W Lambda W^T of the small-side Gram matrix:
     ||mat||_* = sum sqrt(Lambda), and U V^T = W Lambda^-1/2 W^T mat on
-    a wide mat, mat W Lambda^-1/2 W^T on a tall one. None unless
-    lambda_min > GRAM_RCOND * lambda_max."""
+    a wide mat, mat W Lambda^-1/2 W^T on a tall one, where W is U or V.
+    None unless lambda_min > GRAM_RCOND * lambda_max."""
     wide = mat.shape[0] <= mat.shape[1]
     lam, w = np.linalg.eigh(mat @ mat.T if wide else mat.T @ mat)
     if not lam[0] > GRAM_RCOND * lam[-1]:
         return None
     root = np.sqrt(lam)
     z = (w / root) @ (w.T @ mat) if wide else (mat @ w) @ (w / root).T
-    return float(root.sum()), z
+    return float(root.sum()), z, (w, root)
 
 
 def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, val: float, target: float) -> float:
@@ -238,11 +249,11 @@ def _lift_guess(az: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, va
     (A o Z) y = x o r and (A o Z)^T x = y o c for r and c the squared
     row norms of B and column norms of C, and the lift certifies
     sqrt(max r * max c) (Linial & Shraibman, STOC 2007). Weights
-    x_i, y_j <= 1e-6, which the lift floors, are skipped: their
-    quotients are rounding noise. The p-mean of r and the q-mean of c
-    are both val, so once max r * val exceeds target^2 this returns inf
-    without computing c. The caller ignores the floating-point errors
-    of the quotients it skips.
+    x_i, y_j <= 1e-6 are skipped: their quotients are rounding noise.
+    The p-mean of r and the q-mean of c are both val, so once
+    max r * val exceeds target^2 this returns inf without computing c.
+    The caller ignores the floating-point errors of the quotients it
+    skips.
     """
     r = float(np.where(x > 1e-6, ay / x, -np.inf).max())
     if r * val > target * target:
@@ -292,27 +303,36 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
     the values do not decrease.
 
     The ascent stops at the first point whose weights, lifted on the
-    small side of A by ``_lift``, certify an upper bound of at most
-    value / (1 - tol), ``tol`` >= 0: the gap is then closed at ``tol``,
-    and ``gamma2_upper`` needs no interior point. At ``tol`` = 0 only an
+    small side of A, certify an upper bound of at most value / (1 -
+    tol), ``tol`` >= 0: the gap is then closed at ``tol``, and
+    ``gamma2_upper`` needs no interior point. At ``tol`` = 0 only an
     exact lift stops it. At each new best point, ``_lift_guess`` reads
     what that lift would certify from one or two matrix-vector
     products, and only when the guess meets the target is the lift
-    made, one SVD and one eigendecomposition on top of DUAL_MAX_STEPS;
-    the ascent stops only on the lift's own certified value. After a
-    lift that misses, the next one waits for a restart (a rejected
-    extrapolation). Otherwise it stops after DUAL_MAX_STEPS
+    made; the ascent stops only on the lift's own certified value.
+    After a lift that misses, the next one waits for a restart (a
+    rejected extrapolation). Otherwise it stops after DUAL_MAX_STEPS
     evaluations, and the closing lift of its best point, made unless
     its last lift was of that point, counts as one of them.
+
+    Each evaluation keeps its small-side factorization, the eigenvectors
+    and square-rooted eigenvalues of the Gram matrix or the SVD's U or V
+    and Sigma. When its singular values have sigma_min > sqrt(GRAM_RCOND)
+    * sigma_max, which always holds on the Gram path, the lift is
+    ``_factored_lift``: the factors are built from that factorization,
+    with no new one and no weight floor, and the lower bound is the
+    point's own value at (x^2, y^2). Otherwise ``_lift`` floors the
+    weights at 1e-12 and makes one SVD and one ``certify``
+    eigendecomposition, and the lower bound is the SVD value there.
 
     The ascent runs on A / 4^k, with max|A| / 4^k in [1, 4), so that no
     value or factor underflows or overflows; the value and the lift's
     certificate are scaled back by 4^k, and the weights are those of A.
 
     Returns the lift of the best iterate as a ``_DualBound``: it
-    unpacks as (value, p, q), the lift's floored weights and their SVD
-    value ``dual_value(a, p, q)``, and carries the lift's certificate,
-    which ``gamma2_upper`` takes as its upper bound.
+    unpacks as (value, p, q), the lift's weights and their value
+    ``dual_value(a, p, q)`` up to float64 rounding, and carries the
+    lift's certificate, which ``gamma2_upper`` takes as its upper bound.
     """
     a = as_matrix(a)
     _check_tol(tol)
@@ -329,7 +349,8 @@ def gamma2_lower_dual(a, *, tol: float = 0.0) -> _DualBound:
 
 def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]]:
     """The ascent of ``gamma2_lower_dual`` on a nonzero ``a``; returns
-    the ``_lift`` of its best iterate."""
+    the lift of its best iterate, ``_factored_lift``'s or else
+    ``_lift``'s."""
     m, n = a.shape
     x, y = np.full(m, 1.0 / math.sqrt(m)), np.full(n, 1.0 / math.sqrt(n))
     # the closing lift of the best point is one of the steps
@@ -339,19 +360,24 @@ def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, 
     eig = min(m, n) > GRAM_MIN_SIDE
 
     def evaluate(x, y):
+        """The value of (x, y), A o U V^T, and the small-side
+        factorization (W, sigma) that ``_factored_lift`` reads."""
         nonlocal steps, eig
         steps += 1
         mat = x[:, None] * a * y
         if eig:
             polar = _gram_polar(mat)
             if polar is not None:
-                return polar[0], a * polar[1]
+                return polar[0], a * polar[1], polar[2]
             eig = False
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        return float(s.sum()), a * u.dot(vt)
+        return float(s.sum()), a * u.dot(vt), (u if m <= n else vt.T, s)
 
-    val, az = evaluate(x, y)
-    best = (val, x, y)
+    def lift_at(val, x, y, fact):
+        return _factored_lift(a, val, x, y, *fact) or _lift(a, x * x, y * y)
+
+    val, az, fact = evaluate(x, y)
+    best = (val, x, y, fact)
     # the last lift and the iterate it lifted
     lift = lifted = None
     armed = True
@@ -366,7 +392,7 @@ def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, 
             if armed and best[1] is x:  # the current point is the best
                 target = _target(val, tol)
                 if _lift_guess(az, x, y, ay, val, target) <= target:
-                    lift, lifted = _lift(a, x * x, y * y), x
+                    lift, lifted = lift_at(val, x, y, fact), x
                     if lift[0][0] <= target:
                         break
                     armed = False
@@ -398,21 +424,20 @@ def _ascent(a: np.ndarray, tol: float) -> tuple[tuple, tuple[float, np.ndarray, 
                     trial = (ex, ey, *evaluate(ex, ey))
             rejected = trial is not None and trial[2] < val
             if trial is not None and not rejected:
-                x, y, val, az = trial
+                x, y, val, az, fact = trial
                 beta = min(DUAL_BETA_GROWTH * beta, DUAL_BETA_MAX)
             elif steps < DUAL_MAX_STEPS:
                 armed |= rejected
                 beta = DUAL_BETA_RESET
                 x, y = fx, fy
-                val, az = evaluate(x, y)
+                val, az, fact = evaluate(x, y)
             else:
                 break
             prev = f
             if val > best[0]:
-                best = (val, x, y)
-    x, y = best[1:]
-    if lifted is not x:
-        lift = _lift(a, x * x, y * y)
+                best = (val, x, y, fact)
+    if lifted is not best[1]:
+        lift = lift_at(*best)
     return lift
 
 
@@ -431,7 +456,11 @@ def _floored(p: np.ndarray) -> np.ndarray:
 
 def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]]:
     """The primal lift of dual weights (p, q) on ``a``, on its small
-    side, from one SVD and one ``certify``.
+    side, from one SVD and one ``certify``: the ascent's lift of a point
+    that ``_factored_lift`` declines, one whose small side has a zero
+    weight or lower rank. Flooring the weights at 1e-12 makes
+    P^-1/2 exist, and ``certify`` scales the shape until every point of
+    ``a`` fits, so the floor costs no soundness.
 
     At a dual optimum with singular decomposition
     P^1/2 A Q^1/2 = U Sigma V^T, complementary slackness pins the
@@ -452,12 +481,45 @@ def _lift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[tuple, tuple[flo
     return cert, (float(s.sum()), pf, qf)
 
 
+def _factored_lift(
+    a: np.ndarray, val: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, sigma: np.ndarray
+) -> tuple[tuple, tuple[float, np.ndarray, np.ndarray]] | None:
+    """The small-side lift of the ascent point (x, y), read off the
+    factorization that evaluated it, with no new factorization.
+
+    For diag(x) A diag(y) = U Sigma V^T of value ``val`` = sum(Sigma),
+    ``w`` is U on a wide ``a`` and V on a tall one, and ``sigma`` holds
+    Sigma. A = B C with B = diag(1/x) U Sigma^1/2 and
+    C = Sigma^-1/2 U^T diag(x) A on a wide ``a``; on a tall one the same
+    formulas on A^T with y give the factors that the caller transposes,
+    as it does ``_lift``'s. With r and c the squared row norms of B and
+    column norms of C, B t and C / t for t = (max c / max r)^1/4
+    certify sqrt(max r * max c) (Linial & Shraibman, STOC 2007).
+    Returns (value, B t, C / t) and (val, x^2, y^2), as ``_lift`` does,
+    or None unless sigma_min > sqrt(GRAM_RCOND) * sigma_max: then the
+    small-side weights are positive and far enough from 0 that B C
+    reproduces A to float64 rounding.
+    """
+    if not sigma.min() > math.sqrt(GRAM_RCOND) * sigma.max():
+        return None
+    pts, side = (a, x) if a.shape[0] <= a.shape[1] else (a.T, y)
+    root = np.sqrt(sigma)
+    b = w * root / side[:, None]
+    c = (w.T / root[:, None]).dot(side[:, None] * pts)
+    r = float((b * b).sum(axis=1).max())
+    cmax = float((c * c).sum(axis=0).max())
+    t = math.sqrt(math.sqrt(cmax / r))
+    return (math.sqrt(r * cmax), b * t, c / t), (val, x * x, y * y)
+
+
 class _DualBound(tuple):
     """``gamma2_lower_dual``'s (value, p, q) for the matrix ``a``, which
-    unpacks as a plain triple. ``cert`` is the certificate of the
-    ``_lift`` of these weights, made at unit scale and scaled to that
-    of ``a``, None only for the zero matrix. ``unit`` is a / 4^k, the
-    matrix that the ascent ran on."""
+    unpacks as a plain triple. ``cert`` is the certificate of the lift
+    of these weights, made at unit scale and scaled to that of ``a``,
+    None only for the zero matrix: ``_factored_lift``'s, at the best
+    point's own weights, when its small side has full rank, and
+    otherwise ``_lift``'s, whose weights are floored at 1e-12. ``unit``
+    is a / 4^k, the matrix that the ascent ran on."""
 
     def __new__(
         cls, value: float, p: np.ndarray, q: np.ndarray, a: np.ndarray, cert: tuple | None, unit: np.ndarray, k: int

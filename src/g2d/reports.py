@@ -449,8 +449,10 @@ def audit(source, *, tol: float = DEFAULT_TOL, k_max: int | None = None) -> Boun
     (exact when the enumeration budget allows, otherwise the bucketing
     witness from the dual weights), the uniform nuclear bound, and the
     exact disc/herdisc oracles when under their caps. Constant-free
-    inequalities are asserted; per-column failures (caps exceeded,
-    solver issues) are recorded in ``failures`` without aborting.
+    inequalities are asserted. An oracle that refuses its input
+    (RefusedError: a cap or budget exceeded) is recorded in
+    ``failures`` without aborting; any other ValueError, such as
+    ``k_max`` < 1, is raised.
     """
     a = _load_matrix(source)
     m, n = a.shape
@@ -481,25 +483,25 @@ def audit(source, *, tol: float = DEFAULT_TOL, k_max: int | None = None) -> Boun
             if transposed:
                 p, q = q, p
             det_val, _, _ = detlb_bucketing(a, p, q)
-    except ValueError as exc:
+    except RefusedError as exc:
         failures["detlb"] = str(exc)
 
     det2_val: float | None = None
     try:
         det2_val = detlb2_exact(a, min(km, n))
-    except ValueError as exc:
+    except RefusedError as exc:
         failures["detlb2"] = str(exc)
 
     disc_val: float | None = None
     try:
         disc_val = disc_exact(a).value
-    except ValueError as exc:
+    except RefusedError as exc:
         failures["disc_exact"] = str(exc)
 
     herdisc_val: float | None = None
     try:
         herdisc_val = herdisc_exact(a)
-    except ValueError as exc:
+    except RefusedError as exc:
         failures["herdisc_exact"] = str(exc)
 
     scale = max(cert.upper, 1.0)

@@ -132,22 +132,22 @@ def arithmetic_progressions(n: int) -> SetSystem:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > AP_GROUND_CAP:
         raise RefusedError(f"n = {n} exceeds cap {AP_GROUND_CAP}")
-    sets: set[tuple[int, ...]] = set()
-    for a in range(1, n + 1):
-        sets.add((a,))
-    for delta in range(1, n):
-        for a in range(1, n + 1 - delta):
-            members = list(range(a, n + 1, delta))
-            for k in range(2, len(members) + 1):
-                sets.add(tuple(members[:k]))
-    ordered = sorted(sets, key=lambda t: (len(t), t))
-    inc = np.zeros((len(ordered), n))
-    for i, t in enumerate(ordered):
-        inc[i, [x - 1 for x in t]] = 1.0
-    labels = tuple(
-        "{" + ",".join(str(x) for x in t) + "}" for t in ordered
-    )
-    return SetSystem(inc, labels)
+    # (start a, difference d, size k) of each row, singletons first; a
+    # set of k >= 2 points is one progression, so its sorted elements
+    # order each size by (a, d)
+    spec = [(a, 1, 1) for a in range(1, n + 1)]
+    spec += [
+        (a, d, k) for k in range(2, n + 1) for a in range(1, n + 2 - k) for d in range(1, (n - a) // (k - 1) + 1)
+    ]
+    names = [str(i) for i in range(n + 1)]
+    labels = ["{" + ",".join(names[a : a + d * (k - 1) + 1 : d]) + "}" for a, d, k in spec]
+    start, diff, size = np.array(spec).T
+    # one scatter: the j-th member of a row is a + j d
+    rows = np.repeat(np.arange(len(spec)), size)
+    member = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    inc = np.zeros((len(spec), n))
+    inc[rows, np.repeat(start - 1, size) + np.repeat(diff, size) * member] = 1.0
+    return SetSystem(inc, tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -373,3 +373,20 @@ def test_public_names():
         "write_matrix",
         "write_set_system",
     ]
+
+
+def test_audit_refuses_invalid_input_like_the_oracle(tmp_path, capsys):
+    # audit caught every ValueError of the oracles: --kmax 0 exited 0
+    # and printed failure.detlb=k_max must be at least 1
+    path = tmp_path / "t2.txt"
+    write_matrix(path, tn_matrix(2))
+    assert main(["oracle", "detlb", "--in", str(path), "--kmax", "0"]) == 2
+    assert main(["audit", "--in", str(path), "--kmax", "0"]) == 2
+    assert "failure." not in capsys.readouterr().out
+    # a cap refusal is still a recorded failure of one column
+    wide = tmp_path / "wide.txt"
+    write_matrix(wide, np.ones((1, 30)))
+    assert main(["audit", "--in", str(wide)]) == 0
+    out = capsys.readouterr().out
+    assert "failure.disc_exact=disc_exact caps at" in out
+    assert "failure.herdisc_exact=herdisc_exact caps at" in out

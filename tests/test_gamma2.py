@@ -47,6 +47,24 @@ def random_binary(rng, m, n, density=0.5):
     return (rng.random((m, n)) < density).astype(float)
 
 
+def _criterion_8_solves(pairs):
+    """The solves of the first ``pairs`` pairs (a, b) that acceptance
+    criterion 8 draws, nonzero binary m x n with m, n in 2..8: a, b,
+    a^T, [a b] and a + b."""
+
+    def nonzero_binary(rng, m, n):
+        while True:
+            a = random_binary(rng, m, n)
+            if a.any():
+                return a
+
+    rng = np.random.default_rng(8)
+    for _ in range(pairs):
+        m, n = rng.integers(2, 9, size=2)
+        a, b = nonzero_binary(rng, m, n), nonzero_binary(rng, m, n)
+        yield from (a, b, a.T, np.hstack([a, b]), a + b)
+
+
 def test_gamma2_all_ones():
     cert = gamma2(np.ones((4, 4)))
     assert abs(cert.upper - 1.0) <= 2e-4
@@ -148,19 +166,36 @@ def _count_factorizations(monkeypatch):
     return calls
 
 
+def _record_lifts(monkeypatch):
+    """The result of every ``_factored_lift`` call, None when it
+    declined the point."""
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+    original = module._factored_lift
+    lifts = []
+
+    def recording(*args):
+        lifts.append(original(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(module, "_factored_lift", recording)
+    return lifts
+
+
 def test_dual_ascent_svd_budget_and_simplex(monkeypatch):
     calls = _count_factorizations(monkeypatch)
+    lifts = _record_lifts(monkeypatch)
     for a in (
         arithmetic_progressions(14).incidence.T,  # runs to the step budget
         maximal_aps(24).large_difference.incidence,
         tn_matrix(32),
     ):
         calls.clear()
-        value, p, q = gamma2_lower_dual(a)
-        # the closing lift, one SVD and one certify eigh, is one of the
-        # DUAL_MAX_STEPS evaluations
-        assert calls[-2:] == ["svd", "eigh"]
-        assert len(calls) - 1 <= DUAL_MAX_STEPS
+        dual = gamma2_lower_dual(a)
+        value, p, q = dual
+        # the closing lift, read off the best point's factorization, is
+        # one of the DUAL_MAX_STEPS evaluations
+        assert dual.cert is lifts[-1][0]
+        assert len(calls) + 1 <= DUAL_MAX_STEPS
         for w in (p, q):
             assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
         assert abs(value - dual_value(a, p, q)) <= 1e-12 * value
@@ -196,14 +231,14 @@ def test_ascent_stops_on_certified_gap(monkeypatch):
 
 def test_ascent_takes_its_lower_bound_from_its_last_lift(monkeypatch):
     # on the Gram path the ascent re-ran an SVD of the best point for
-    # its certified value, 2 SVDs on T_32; when its last lift was made
-    # at that point, the lift's own SVD gives the value of the floored
-    # weights it returns
+    # its certified value, 2 SVDs on T_32, and then 1 in the lift; the
+    # lift now reads its value and weights off the factorization that
+    # evaluated the point
     calls = _count_factorizations(monkeypatch)
     t32 = tn_matrix(32)
     dual = gamma2_lower_dual(t32, tol=DEFAULT_TOL)
     assert dual.cert is not None
-    assert calls.count("svd") == 1
+    assert calls.count("svd") == 0
     value, p, q = dual
     assert abs(value - dual_value(t32, p, q)) <= 1e-13 * value
     assert abs(p.sum() - 1.0) <= 1e-12 and abs(q.sum() - 1.0) <= 1e-12
@@ -222,9 +257,12 @@ def test_gram_path_matches_the_svd(a):
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     polar = _gram_polar(mat)
     assert polar is not None  # well conditioned: no SVD fallback
-    value, z = polar
+    value, z, (w, root) = polar
     assert abs(value - nuclear_norm(mat)) <= 1e-12 * value
     assert np.abs(z - u @ vt).max() <= 1e-9
+    # W Sigma^2 W^T is the small-side Gram matrix
+    small = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
+    assert np.abs((w * root * root) @ w.T - small).max() <= 1e-12 * s[0] ** 2
 
 
 def test_rank_deficient_block_falls_back_to_the_svd(monkeypatch):
@@ -271,7 +309,7 @@ def test_lift_guess_is_the_lift_value(a):
     mat = x[:, None] * a * y[None, :]
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     lifted = _lift(a, x * x, y * y)[0][0]
-    for val, z in ((s.sum(), u @ vt), _gram_polar(mat)):
+    for val, z, *_ in ((s.sum(), u @ vt), _gram_polar(mat)):
         az = a * z
         guess = _lift_guess(az, x, y, az @ y, val, np.inf)
         assert abs(guess - lifted) <= 1e-9 * lifted
@@ -293,14 +331,7 @@ def test_lift_guess_is_the_lift_value(a):
 def test_ascent_lifts_only_when_the_gap_closes(monkeypatch, a):
     # every lift that a guessed check makes meets its target, so the
     # first one stops the ascent and gamma2_upper reuses it
-    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
-    lifts = []
-
-    def recording(*args):
-        lifts.append(_lift(*args))
-        return lifts[-1]
-
-    monkeypatch.setattr(module, "_lift", recording)
+    lifts = _record_lifts(monkeypatch)
     dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
     assert len(lifts) == 1 and dual.cert is lifts[0][0]
     assert lifts[0][0][0] <= dual[0] / (1.0 - DEFAULT_TOL) * (1.0 + 1e-12)
@@ -342,6 +373,102 @@ def test_ascent_is_the_only_lift_site(monkeypatch, a):
 
     monkeypatch.setattr(module, "_lift", refuse)
     assert gamma2_upper(a, dual=dual)[0] == dual.cert[0]
+
+
+def _refuse(monkeypatch, *names):
+    """Make each named function of g2d.gamma2 fail its caller's test."""
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+
+    for name in names:
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran")
+
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        tn_matrix(32),
+        maximal_aps(24).large_difference.incidence,  # tall: the factors are transposed
+        arithmetic_progressions(14).incidence.T,
+    ],
+    ids=["T_32", "maximal_aps_24", "AP_14_T"],
+)
+def test_lift_makes_no_factorization(monkeypatch, a):
+    # the lift of the best point once made one more SVD at floored
+    # weights and a certify eigh of its shape; it now reads the
+    # ascent's own eigendecomposition of that point
+    calls = _count_factorizations(monkeypatch)
+    _refuse(monkeypatch, "_lift", "certify", "minimum_height_ellipsoid")
+    cert = gamma2(a)
+    assert cert.converged
+    # one eigh per ascent evaluation, then only the check's SVD
+    assert calls.count("svd") == 1 and calls[-1] == "svd"
+    assert set(calls[:-1]) == {"eigh"}
+
+
+# criterion 8's a + b of pair 60, a 5x5 whose best ascent point has a
+# zero row weight
+ZERO_WEIGHT_SOLVE = 304
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.random.default_rng(1).random((20, 3)) @ np.random.default_rng(2).random((3, 30)),
+        list(_criterion_8_solves(ZERO_WEIGHT_SOLVE // 5 + 1))[ZERO_WEIGHT_SOLVE],
+    ],
+    ids=["rank_3_20x30", "criterion_8_zero_weight"],
+)
+def test_rank_deficient_best_point_takes_the_floored_lift(monkeypatch, a):
+    # without a full-rank small side the factored lift's B C misses A by
+    # more than the check allows; the floored SVD lift certifies instead
+    module = importlib.import_module("g2d.gamma2")  # g2d.gamma2 is also the function
+    lifted = []
+
+    def recording(unit, p, q):
+        lifted.append((p, q))
+        return _lift(unit, p, q)
+
+    monkeypatch.setattr(module, "_lift", recording)
+    _refuse(monkeypatch, "minimum_height_ellipsoid")
+    cert = gamma2(a)
+    assert cert.converged and lifted
+    # the lifted point fails the rank test: a small-side weight is 0,
+    # or A has lower rank than its small side
+    p, q = lifted[-1]
+    small = p if a.shape[0] <= a.shape[1] else q
+    assert small.min() == 0.0 or np.linalg.matrix_rank(a) < small.size
+    check_certificate(cert, a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        tn_matrix(32),
+        maximal_aps(24).large_difference.incidence,
+        arithmetic_progressions(14).incidence.T,
+        subcubes(4).incidence.T,
+        np.random.default_rng(10).random((6, 7)),  # SVD path, solved at 4 A
+    ],
+    ids=["T_32", "maximal_aps_24", "AP_14_T", "subcubes_4_T", "6x7"],
+)
+def test_factored_lift_matches_the_lift(monkeypatch, a):
+    # both lifts certify the weights (x^2, y^2) of the same point: the
+    # SVD lift floors them and adds certify's ridge, a 1e-12 change
+    lifts = _record_lifts(monkeypatch)
+    dual = gamma2_lower_dual(a, tol=DEFAULT_TOL)
+    assert lifts and lifts[-1] is not None
+    (value, b, c), (val, p, q) = lifts[-1]
+    unit = dual.unit
+    (ref, _, _), (ref_val, _, _) = _lift(unit, p, q)
+    assert abs(value - ref) <= 1e-9 * ref
+    assert abs(val - ref_val) <= 1e-9 * ref_val
+    if unit.shape[0] > unit.shape[1]:
+        b, c = c.T, b.T
+    assert np.linalg.norm(b @ c - unit) <= 1e-12 * np.linalg.norm(unit)
 
 
 @pytest.mark.parametrize("a", [np.eye(5), np.array([[1.0], [-2.0], [0.5]])], ids=["eye5", "column3"])
@@ -823,33 +950,16 @@ def test_gamma2_leaves_its_input_unchanged(a, order):
     check_certificate(cert, a)
 
 
-def _criterion_8_solves(pairs):
-    """The solves of the first ``pairs`` pairs (a, b) that acceptance
-    criterion 8 draws, nonzero binary m x n with m, n in 2..8: a, b,
-    a^T, [a b] and a + b."""
-
-    def nonzero_binary(rng, m, n):
-        while True:
-            a = random_binary(rng, m, n)
-            if a.any():
-                return a
-
-    rng = np.random.default_rng(8)
-    for _ in range(pairs):
-        m, n = rng.integers(2, 9, size=2)
-        a, b = nonzero_binary(rng, m, n), nonzero_binary(rng, m, n)
-        yield from (a, b, a.T, np.hstack([a, b]), a + b)
-
-
 def test_small_solves_make_the_recorded_factorizations(monkeypatch):
     # the 30 solves of criterion 8's first 6 pairs, which the benchmark's
     # solve-batch permutes; a refactor of the ascent must not add
-    # evaluations, and these are the counts recorded before the step
-    # was fused
+    # evaluations. They made 553 SVDs and 30 eigh while every solve
+    # lifted its best point by a new SVD and a certify eigh; 19 of them
+    # now read the lift off the factorization the ascent already made
     calls = _count_factorizations(monkeypatch)
     certs = [gamma2(a) for a in _criterion_8_solves(6)]
     assert len(certs) == 30 and all(cert.converged for cert in certs)
-    assert (calls.count("svd"), calls.count("eigh")) == (553, 30)
+    assert (calls.count("svd"), calls.count("eigh")) == (534, 11)
 
 
 @functools.cache
@@ -948,7 +1058,7 @@ def test_certificate_membership_needs_no_eigendecomposition(monkeypatch):
     for a in (maximal_aps(24).large_difference.incidence, tn_matrix(8), C1):
         shapes.clear()
         cert = gamma2(a)
-        assert shapes and max(max(s) for s in shapes) <= min(a.shape)
+        assert all(max(s) <= min(a.shape) for s in shapes)
         shapes.clear()
         report = check_certificate(cert, a)
         assert shapes == []

@@ -146,6 +146,21 @@ def test_arithmetic_progressions_no_duplicate_rows():
     assert len({r.tobytes() for r in inc}) == inc.shape[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 14, 33])
+def test_arithmetic_progressions_row_order(n):
+    # the rows are built in this order, which the AP report's CSV and
+    # certificate files keep: by size, then by sorted elements, which
+    # for each size k >= 2 is the order of (start, difference)
+    fam = arithmetic_progressions(n)
+    rows = [tuple(int(j) + 1 for j in np.flatnonzero(r)) for r in fam.incidence]
+    assert rows == sorted((tuple(sorted(t)) for t in brute_force_aps(n)), key=lambda t: (len(t), t))
+    assert len(set(rows)) == len(rows)
+    assert fam.labels == tuple("{" + ",".join(map(str, t)) + "}" for t in rows)
+    # n singletons, and one row of size k per start a and difference d
+    # with a + (k - 1) d <= n
+    assert fam.rows == n + sum((n - a) // (k - 1) for k in range(2, n + 1) for a in range(1, n + 1))
+
+
 def test_power_set_n1():
     assert row_set_family(power_set(1)) == {frozenset(), frozenset({1})}
 
